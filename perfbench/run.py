@@ -6,10 +6,10 @@ Builds the mcsn library and the perfbench driver from source (Release, into
 
     python3 perfbench/run.py --workload engine_flat --seed 1 --seconds 10 --trace 0
 
-Workloads: engine_flat, wire_batch, wire_open, shape_churn (see
-perfbench/README.md). Run it from the repository root. The last line of
-standard output is the result JSON; build logs go to standard error. Full
-result records and the traced run's spans land in .bench_build/perfbench-out/.
+Workloads: engine_flat, wire_open (see perfbench/README.md). Run it from the
+repository root. The last line of standard output is the result JSON; build
+logs go to standard error. Full result records and the traced run's spans
+land in .bench_build/perfbench-out/.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import os
 import subprocess
 import sys
 
-WORKLOADS = ("engine_flat", "wire_batch", "wire_open", "shape_churn")
+WORKLOADS = ("engine_flat", "wire_open")
 BUILD_DIR = os.path.join(".bench_build", "perfbench")
 OUT_DIR = os.path.join(".bench_build", "perfbench-out")
 BINARY = os.path.join(BUILD_DIR, "perfbench")

@@ -98,31 +98,64 @@ bool payload_matches(const mcsn::SortResponse& rsp,
 
 // --- windows ----------------------------------------------------------------
 
-WindowMeter::WindowMeter(std::int64_t start_ns, double seconds, int windows)
-    : start_(start_ns),
-      step_(static_cast<std::int64_t>(seconds * 1e9 / windows)),
-      next_(start_ns + step_) {
-  samples_.push_back({start_ns, 0, process_cpu_s()});
+WindowMeter::WindowMeter(std::int64_t start_ns,
+                         const std::atomic<std::int64_t>* excluded_cpu_ns)
+    : excluded_cpu_ns_(excluded_cpu_ns),
+      start_(start_ns),
+      next_(start_ns + kStepNs) {
+  sample(start_ns, 0);
 }
 
 void WindowMeter::sample(std::int64_t now, std::uint64_t rounds) {
-  samples_.push_back({now, rounds, process_cpu_s()});
-  next_ = start_ + ((now - start_) / step_ + 1) * step_;
+  double cpu_s = process_cpu_s();
+  if (excluded_cpu_ns_ != nullptr) {
+    cpu_s -= static_cast<double>(excluded_cpu_ns_->load()) * 1e-9;
+  }
+  samples_.push_back({now, rounds, cpu_s});
+  next_ = start_ + ((now - start_) / kStepNs + 1) * kStepNs;
 }
 
-WindowRates window_rates(const std::vector<WindowMeter::Sample>& w) {
-  std::vector<double> rate, cpu;
+void PhaseResult::close_windows(const WindowMeter& meter) {
+  const std::vector<WindowMeter::Sample>& w = meter.samples();
   for (std::size_t i = 1; i < w.size(); ++i) {
-    const auto rounds = static_cast<double>(w[i].rounds - w[i - 1].rounds);
+    const auto n = static_cast<double>(w[i].rounds - w[i - 1].rounds);
     const auto secs = static_cast<double>(w[i].t_ns - w[i - 1].t_ns) * 1e-9;
-    // A sliver of a window at the phase end says little; skip it.
-    const auto first_secs =
-        static_cast<double>(w[1].t_ns - w[0].t_ns) * 1e-9;
-    if (rounds == 0 || secs < 0.25 * first_secs) continue;
-    rate.push_back(rounds / secs);
-    cpu.push_back((w[i].cpu_s - w[i - 1].cpu_s) * 1e6 / rounds);
+    // A sliver of a window at the phase end says little; skip it unless
+    // the phase is shorter than a window.
+    if (i > 1 && secs < 0.25) continue;
+    window_rounds_per_s.push_back(n / secs);
+    if (n > 0) {
+      window_cpu_us.push_back((w[i].cpu_s - w[i - 1].cpu_s) * 1e6 / n);
+    }
   }
-  return {percentile(rate, 0.5), percentile(cpu, 0.5)};
+  const std::size_t windows =
+      std::clamp<std::size_t>(latency_us.size() / 1000, 1, 6);
+  window_p50_us = window_percentiles(latency_us, windows, 0.5);
+  window_p99_us = window_percentiles(latency_us, windows, 0.99);
+}
+
+void PhaseResult::append(PhaseResult&& later) {
+  const auto concat = [](std::vector<double>& to, std::vector<double>& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  };
+  attempted += later.attempted;
+  failed += later.failed;
+  mismatches += later.mismatches;
+  rounds += later.rounds;
+  gate_evals += later.gate_evals;
+  wall_s += later.wall_s;
+  cpu_s += later.cpu_s;
+  concat(window_rounds_per_s, later.window_rounds_per_s);
+  concat(window_cpu_us, later.window_cpu_us);
+  concat(latency_us, later.latency_us);
+  concat(window_p50_us, later.window_p50_us);
+  concat(window_p99_us, later.window_p99_us);
+  concat(lag_us, later.lag_us);
+  sent += later.sent;
+  completed += later.completed;
+  open_loop = open_loop || later.open_loop;
+  threads = std::max(threads, later.threads);
+  for (std::string& e : later.errors) errors.push_back(std::move(e));
 }
 
 // --- tracing -----------------------------------------------------------------
@@ -146,8 +179,8 @@ std::uint64_t Tracer::record(const char* name, std::int64_t start_ns,
 }
 
 TraceSet::TraceSet() {
-  // Room for the densest traced phase: open loop at 20k requests/s for
-  // 30 s, two receiver spans per request.
+  // Room for far more than the densest traced phase: wire_open's 2k
+  // requests/s for 30 s, two receiver spans per request.
   for (std::size_t role = 0; role < kRoles; ++role) {
     tracers_.emplace_back(role + 1, std::size_t{1} << 20);
   }

@@ -6,6 +6,7 @@
 // Every number the benchmark reports comes from timing public calls of the
 // mcsn library from the outside; nothing here reaches into src/.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -149,8 +150,9 @@ class TraceSet {
 
 // --- workloads ---------------------------------------------------------------
 
-/// Completed rounds and process CPU time, sampled at fixed wall-clock
-/// boundaries of a phase by the thread that sees completions.
+/// Completed rounds and process CPU time, sampled at 1-s wall-clock
+/// boundaries of a phase by the thread that sees completions. CPU time
+/// counted in `excluded_cpu_ns` (when set) is left out.
 class WindowMeter {
  public:
   struct Sample {
@@ -159,7 +161,11 @@ class WindowMeter {
     double cpu_s = 0;
   };
 
-  WindowMeter(std::int64_t start_ns, double seconds, int windows = 30);
+  static constexpr std::int64_t kStepNs = 1'000'000'000;
+
+  explicit WindowMeter(
+      std::int64_t start_ns,
+      const std::atomic<std::int64_t>* excluded_cpu_ns = nullptr);
 
   /// Call after each completion with the phase's running round count.
   void observe(std::int64_t now, std::uint64_t rounds) {
@@ -175,21 +181,14 @@ class WindowMeter {
  private:
   void sample(std::int64_t now, std::uint64_t rounds);
 
+  const std::atomic<std::int64_t>* excluded_cpu_ns_;
   std::int64_t start_;
-  std::int64_t step_;
   std::int64_t next_;
   std::vector<Sample> samples_;
 };
 
-/// Medians over the windows of rounds per second and of CPU us per round.
-struct WindowRates {
-  double rounds_per_s = 0;
-  double cpu_us_per_round = 0;
-};
-[[nodiscard]] WindowRates window_rates(
-    const std::vector<WindowMeter::Sample>& w);
-
-/// What one measured phase of a workload produced.
+/// What one measured phase of a workload produced. An untraced run
+/// appends several phases into one result.
 struct PhaseResult {
   std::uint64_t attempted = 0;   ///< requests (calls or frames) attempted
   std::uint64_t failed = 0;      ///< failed or refused requests
@@ -198,29 +197,37 @@ struct PhaseResult {
   double gate_evals = 0;         ///< sum of netlist gates over those rounds
   double wall_s = 0;
   double cpu_s = 0;
-  std::vector<WindowMeter::Sample> windows;
+  /// Per 1-s window: rounds completed per second, CPU us per round.
+  std::vector<double> window_rounds_per_s;
+  std::vector<double> window_cpu_us;
   /// Client-side latency per request in us, in request order; failed
   /// requests are +inf. Open-loop workloads time from the due send time.
   std::vector<double> latency_us;
-  /// Windows the latency percentiles are taken over.
-  std::size_t latency_windows = 1;
+  /// Exact p50 and p99 of each latency window: consecutive slices of a
+  /// phase's samples, up to 6 (30 in the 5 phases of an untraced run),
+  /// each of at least 1000 samples so that a p99 has 10 samples beyond it.
+  std::vector<double> window_p50_us;
+  std::vector<double> window_p99_us;
   /// Open loop: how late each send left against its due time, in us.
   std::vector<double> lag_us;
   std::uint64_t sent = 0;       ///< requests handed to the transport
   std::uint64_t completed = 0;  ///< responses received
   bool open_loop = false;       ///< latency timed from the due send time
   long threads = 0;             ///< process threads while traffic ran
-  /// shape_churn: first requests for evicted shapes and repeats of them.
-  std::vector<double> cold_us;
-  std::vector<double> warm_us;
-  std::vector<std::string> errors;  ///< mismatch and assertion reports
+  std::vector<std::string> errors;  ///< mismatch and transport-error reports
+
+  /// Fills the per-window figures at the end of a phase from its meter
+  /// and its latency samples.
+  void close_windows(const WindowMeter& meter);
+  /// Adds a later phase of the same workload.
+  void append(PhaseResult&& later);
 };
 
 class Workload {
  public:
   virtual ~Workload() = default;
 
-  /// Constructs the sorter or service, warms the hot shape(s), starts the
+  /// Constructs the sorter or service, warms the hot shape, starts the
   /// server and connects. Timed as setup_s.
   virtual void setup() = 0;
   /// Releases everything setup() acquired.

@@ -419,10 +419,7 @@ std::vector<Metric> layer_metrics(const LayerInputs& in, TraceSet& trace,
   // serve/net: client sends of the traced phase; server stages from the
   // workload's registry (0 without a socket server).
   const TraceSet::Totals send = trace.totals("net.SortClient::send");
-  const TraceSet::Totals batch = trace.totals("net.SortClient::send_batch");
-  m.push_back({"net.send_ns_per_frame",
-               ratio(send.total_ns + batch.total_ns,
-                     count(send.spans + batch.spans)),
+  m.push_back({"net.send_ns_per_frame", ratio(send.total_ns, count(send.spans)),
                "ns"});
   for (const std::string stage : {"decode", "encode", "write"}) {
     m.push_back({"net." + stage + "_p50_us",

@@ -11,7 +11,7 @@
 // Earlier lines are the environment record and a readable metric table;
 // DIR (when set) receives the full result record and the traced run's spans.
 // Exit status: 0 when every output matched its reference, 1 on a mismatch,
-// a failed assertion or a Table 8 gate-count mismatch, 2 on bad arguments.
+// a lost connection or a Table 8 gate-count mismatch, 2 on bad arguments.
 
 #include <algorithm>
 #include <charconv>
@@ -27,8 +27,14 @@
 namespace perfbench {
 namespace {
 
-/// Setups per untraced run; setup_s is their median.
-constexpr int kSetupRepeats = 21;
+/// An untraced run measures kChunks equal phases. Before each one it sets
+/// up for at least kSetupSeconds / kChunks and kSetupRepeats times, so
+/// setup_s, the median of all those setups, samples the host's conditions
+/// across the whole run like the measured metrics do. One first setup,
+/// with cold caches, is dropped.
+constexpr int kChunks = 5;
+constexpr int kSetupRepeats = 5;
+constexpr double kSetupSeconds = 2.0;
 
 std::string num(double v) {
   // JSON has no infinity: an infinitely late percentile prints as the
@@ -112,27 +118,28 @@ bool parse(int argc, char** argv, Args& a) {
   return argc % 2 == 1 && !a.workload.empty() && a.seconds > 0 && a.trace >= 0;
 }
 
-/// The end-to-end metrics of one untraced phase: medians over 1-s windows
-/// of the rates, and per-window exact latency percentiles.
+/// The end-to-end metrics of an untraced run: medians over its 1-s windows
+/// of the rates, and exact percentiles of its latency windows.
 std::vector<Metric> end_to_end(const PhaseResult& p, double setup_s) {
-  const WindowRates w = window_rates(p.windows);
-  const auto p50s = window_percentiles(p.latency_us, p.latency_windows, 0.5);
-  const auto p99s = window_percentiles(p.latency_us, p.latency_windows, 0.99);
+  const double rounds_per_s = percentile(p.window_rounds_per_s, 0.5);
   const auto rounds = static_cast<double>(std::max<std::uint64_t>(p.rounds, 1));
   return {
       {"setup_s", setup_s, "s"},
-      {"rounds_per_s", w.rounds_per_s, "rounds/s"},
-      {"latency_p50_us", percentile(p50s, 0.5), "us"},
-      // While the host of a shared VM is busy, its preemptions set the
-      // tail of most windows; the best window's tail is the one the code
-      // sets when that interference is least.
-      {"latency_p99_us", *std::min_element(p99s.begin(), p99s.end()), "us"},
-      {"cpu_us_per_round", w.cpu_us_per_round, "us"},
+      {"rounds_per_s", rounds_per_s, "rounds/s"},
+      {"latency_p50_us", percentile(p.window_p50_us, 0.5), "us"},
+      // Preemptions by a busy host set the tail of some windows; the best
+      // window's tail is the one the code sets when they interfere least.
+      // It cannot see a tail that grows in only some windows: the table
+      // and the record keep the median window's and every window's p99.
+      {"latency_p99_us",
+       *std::min_element(p.window_p99_us.begin(), p.window_p99_us.end()),
+       "us"},
+      {"cpu_us_per_round", percentile(p.window_cpu_us, 0.5), "us"},
       {"peak_rss_mb",
        static_cast<double>(proc_status_field("VmHWM")) / 1024, "MiB"},
-      // Gates per completed round (one shape except in shape_churn) times
-      // the round rate: engine speed in the paper's gate count.
-      {"gate_lane_evals_per_s", w.rounds_per_s * p.gate_evals / rounds, "1/s"},
+      // Gates per completed round times the round rate: engine speed in
+      // the paper's gate count.
+      {"gate_lane_evals_per_s", rounds_per_s * p.gate_evals / rounds, "1/s"},
   };
 }
 
@@ -163,11 +170,16 @@ int run(const Args& args) {
   std::vector<Metric> metrics;
   TraceSet trace;
   if (args.trace == 0) {
-    for (int i = 0; i < kSetupRepeats; ++i) {
-      if (i > 0) w->teardown();
-      setups.push_back(timed_setup());
+    (void)timed_setup();
+    for (int chunk = 0; chunk < kChunks; ++chunk) {
+      const std::int64_t burst_end =
+          now_ns() + static_cast<std::int64_t>(kSetupSeconds / kChunks * 1e9);
+      for (int i = 0; i < kSetupRepeats || now_ns() < burst_end; ++i) {
+        w->teardown();
+        setups.push_back(timed_setup());
+      }
+      result.append(w->measure(args.seconds / kChunks, nullptr));
     }
-    result = w->measure(args.seconds, nullptr);
     w->teardown();
     metrics = end_to_end(result, percentile(setups, 0.5));
   } else {
@@ -213,7 +225,11 @@ int run(const Args& args) {
       {"attempted", static_cast<double>(attempted), "count"},
       {"latency_samples", static_cast<double>(result.latency_us.size()),
        "count"},
-      {"latency_windows", static_cast<double>(result.latency_windows), "count"},
+      {"latency_windows", static_cast<double>(result.window_p99_us.size()),
+       "count"},
+      {"setups", static_cast<double>(setups.size()), "count"},
+      {"latency_p99_median_window_us", percentile(result.window_p99_us, 0.5),
+       "us"},
       {"latency_p99_whole_run_us", percentile(result.latency_us, 0.99), "us"},
       {"rounds_per_s_whole_run", ratio(result.rounds, result.wall_s),
        "rounds/s"},
@@ -225,10 +241,6 @@ int run(const Args& args) {
       {"table8_gates_10sortd_16", static_cast<double>(anchor.published),
        "count"},
   };
-  if (!result.cold_us.empty()) {
-    extra.push_back({"cold_p50_us", percentile(result.cold_us, 0.5), "us"});
-    extra.push_back({"warm_p50_us", percentile(result.warm_us, 0.5), "us"});
-  }
   if (args.trace == 1) extra.push_back({"setup_s", setups.front(), "s"});
 
   std::cout << "env " << env.str() << "\n";
@@ -257,20 +269,19 @@ int run(const Args& args) {
            << ", \"correct\": " << (correct ? "true" : "false")
            << ", \"attempted\": " << attempted << ", \"failed\": " << failed
            << ", \"metrics\": " << metrics_json(metrics)
-           << ", \"extra\": " << metrics_json(extra) << ", \"windows\": [";
-    for (std::size_t i = 0; i < result.windows.size(); ++i) {
-      const WindowMeter::Sample& w = result.windows[i];
-      record << (i ? ", " : "") << "{\"t_ns\": " << w.t_ns
-             << ", \"rounds\": " << w.rounds
-             << ", \"cpu_s\": " << num(w.cpu_s) << "}";
-    }
-    record << "], \"window_p99_us\": [";
-    const std::vector<double> p99s =
-        window_percentiles(result.latency_us, result.latency_windows, 0.99);
-    for (std::size_t i = 0; i < p99s.size(); ++i) {
-      record << (i ? ", " : "") << num(p99s[i]);
-    }
-    record << "], \"errors\": [";
+           << ", \"extra\": " << metrics_json(extra);
+    const auto series = [&](const char* name, const std::vector<double>& v) {
+      record << ", \"" << name << "\": [";
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        record << (i ? ", " : "") << num(v[i]);
+      }
+      record << "]";
+    };
+    series("window_rounds_per_s", result.window_rounds_per_s);
+    series("window_cpu_us_per_round", result.window_cpu_us);
+    series("window_p50_us", result.window_p50_us);
+    series("window_p99_us", result.window_p99_us);
+    record << ", \"errors\": [";
     for (std::size_t i = 0; i < errors.size(); ++i) {
       record << (i ? ", " : "") << quoted(errors[i]);
     }

@@ -1,14 +1,13 @@
-// The four workloads of the layer ladder, from the gate engine up to the
-// socket. Each one runs in one process with at most 4 threads (the server's
-// event loop and service worker included) and at most 2 connections, on
-// library defaults except for the settings named here.
+// The workloads of the layer ladder: the gate engine alone, and the socket
+// path on top of it. Each one runs in one process with at most 4 threads
+// (the server's event loop and service worker included) and one
+// connection, on library defaults except for the settings named here.
 
-#include <poll.h>
-#include <sys/prctl.h>
+#include <sched.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -36,10 +35,29 @@ constexpr std::uint64_t request_span_id(std::uint64_t request) noexcept {
   return (std::uint64_t{0xF} << 48) | request;
 }
 
-/// Up to 30 latency windows, each of at least 1000 samples so that a p99
-/// has 10 samples beyond it.
-std::size_t latency_windows(std::size_t samples) {
-  return std::clamp<std::size_t>(samples / 1000, 1, 30);
+/// CPU time of the calling thread.
+std::int64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
+
+/// Confines the calling thread, and every thread it starts from then on,
+/// to the first CPU it may run on.
+void confine_to_one_cpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (!CPU_ISSET(cpu, &allowed)) continue;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      if (sched_setaffinity(0, sizeof one, &one) == 0) return;
+      break;
+    }
+  }
+  throw std::runtime_error("cannot confine the process to one CPU");
 }
 
 double us_between(std::int64_t from_ns, std::int64_t to_ns) {
@@ -100,7 +118,7 @@ class EngineFlat final : public HotInputs {
     const std::int64_t start = now_ns();
     const std::int64_t end = start + static_cast<std::int64_t>(seconds * 1e9);
     std::int64_t last = start;
-    WindowMeter meter(start, seconds);
+    WindowMeter meter(start);
     for (std::uint64_t call = 0; last < end; ++call) {
       const std::size_t first = (call % slices) * kPerCall;
       const std::int64_t t0 = now_ns();
@@ -130,8 +148,7 @@ class EngineFlat final : public HotInputs {
       meter.observe(last, r.rounds);
     }
     meter.finish(last, r.rounds);
-    r.windows = meter.samples();
-    r.latency_windows = latency_windows(r.latency_us.size());
+    r.close_windows(meter);
     r.threads = proc_status_field("Threads");
     r.wall_s = static_cast<double>(last - start) * 1e-9;
     r.cpu_s = process_cpu_s() - cpu0;
@@ -146,38 +163,44 @@ class EngineFlat final : public HotInputs {
   std::optional<mcsn::McSorter> sorter_;
 };
 
-// --- served workloads --------------------------------------------------------
+// --- wire_open ---------------------------------------------------------------
 
-/// A SortService on library defaults (1 worker) behind a 1-loop loopback
-/// SocketServer, the hot shape warmed, and `connections` clients.
-class Served : public HotInputs {
+/// Open-loop Poisson one-round v1 frames on one loopback connection to a
+/// SortService on library defaults (1 worker) behind a 1-loop SocketServer,
+/// the hot shape warmed. This thread sends on schedule; a receiver thread
+/// checks the responses in order.
+///
+/// The whole process runs on one CPU, and the sender waits for each due
+/// time by yielding that CPU rather than sleeping, so the CPU never idles.
+/// On a VM whose host is oversubscribed, waking an idle vCPU waited for the
+/// host, often for milliseconds; with four threads on four vCPUs handing
+/// each request on, those waits, not the code, set the latency.
+class WireOpen final : public HotInputs {
  public:
-  Served(std::uint64_t seed, int connections)
-      : HotInputs(seed), connections_(connections) {}
+  WireOpen(std::uint64_t seed, double rate)
+      : HotInputs(seed), seed_(seed), rate_(rate) {
+    confine_to_one_cpu();
+  }
 
-  ~Served() override { Served::teardown(); }
+  ~WireOpen() override { WireOpen::teardown(); }
 
   void setup() override {
-    mcsn::ServeOptions opt = options();
+    mcsn::ServeOptions opt;
     opt.warmup_shapes = {kHot};
     service_ = std::make_unique<mcsn::SortService>(std::move(opt));
-    server_ = std::make_unique<mcsn::net::SocketServer>(*service_,
-                                                        socket_options());
+    server_ = std::make_unique<mcsn::net::SocketServer>(*service_);
     if (mcsn::Status s = server_->start(); !s.ok()) {
       throw std::runtime_error("server start: " + s.to_string());
     }
-    for (int i = 0; i < connections_; ++i) {
-      auto client =
-          mcsn::net::SortClient::connect("127.0.0.1", server_->port());
-      if (!client.ok()) {
-        throw std::runtime_error("connect: " + client.status().to_string());
-      }
-      clients_.push_back(std::move(*client));
+    auto client = mcsn::net::SortClient::connect("127.0.0.1", server_->port());
+    if (!client.ok()) {
+      throw std::runtime_error("connect: " + client.status().to_string());
     }
+    client_.emplace(std::move(*client));
   }
 
   void teardown() override {
-    clients_.clear();
+    client_.reset();
     if (server_) server_->stop();
     server_.reset();
     if (service_) service_->stop();
@@ -188,193 +211,30 @@ class Served : public HotInputs {
     return service_ ? &service_->registry() : nullptr;
   }
 
- protected:
-  /// Settings that differ from the library defaults.
-  [[nodiscard]] virtual mcsn::ServeOptions options() const { return {}; }
-  [[nodiscard]] virtual mcsn::net::SocketOptions socket_options() const {
-    return {};
-  }
-
-  int connections_;
-  std::unique_ptr<mcsn::SortService> service_;
-  std::unique_ptr<mcsn::net::SocketServer> server_;
-  std::vector<mcsn::net::SortClient> clients_;
-};
-
-// --- wire_batch --------------------------------------------------------------
-
-/// One connection keeps a window of 256-round BATCH frames outstanding
-/// (closed loop): wire -> batcher -> engine -> wire at full occupancy.
-class WireBatch final : public Served {
- public:
-  explicit WireBatch(std::uint64_t seed) : Served(seed, 1) {}
-
-  PhaseResult measure(double seconds, TraceSet* trace) override {
-    Tracer* tr = trace ? &trace->at(TraceSet::kMain) : nullptr;
-    std::vector<SortRequest> frames;
-    for (std::size_t f = 0; f < hot_.rounds / kRounds; ++f) {
-      frames.push_back(*SortRequest::view_batch(
-          kHot, kRounds, hot_.input(f * kRounds, kRounds)));
-    }
-    mcsn::net::SortClient& client = clients_.front();
-    struct InFlight {
-      std::uint64_t seq;
-      std::int64_t sent_ns;
-    };
-    std::deque<InFlight> inflight;
-    PhaseResult r;
-    const double cpu0 = process_cpu_s();
-    const std::int64_t start = now_ns();
-    const std::int64_t end = start + static_cast<std::int64_t>(seconds * 1e9);
-    std::int64_t last = start;
-    WindowMeter meter(start, seconds);
-    std::uint64_t seq = 0;
-    const auto send = [&] {
-      const std::uint64_t id = ++seq;
-      const std::int64_t t0 = now_ns();
-      const mcsn::Status s = client.send_batch(frames[id % frames.size()]);
-      if (tr) {
-        tr->record("net.SortClient::send_batch", t0, now_ns(), 1, id,
-                   request_span_id(id));
-      }
-      ++r.attempted;
-      if (!s.ok()) {
-        ++r.failed;
-        r.latency_us.push_back(kInf);
-        return;
-      }
-      ++r.sent;
-      inflight.push_back({id, t0});
-    };
-    for (std::size_t w = 0; w < kWindow; ++w) send();
-    while (!inflight.empty()) {
-      const InFlight f = inflight.front();
-      inflight.pop_front();
-      const std::int64_t t0 = now_ns();
-      mcsn::StatusOr<mcsn::SortResponse> rsp = client.receive();
-      last = now_ns();
-      if (tr) {
-        tr->record("net.SortClient::receive", t0, last, 1, f.seq,
-                   request_span_id(f.seq));
-        tr->record("client.request", f.sent_ns, last, kRounds, f.seq, 0,
-                   request_span_id(f.seq));
-      }
-      if (!rsp.ok()) {
-        // The connection is gone: this and every outstanding frame failed.
-        r.failed += 1 + inflight.size();
-        r.latency_us.insert(r.latency_us.end(), 1 + inflight.size(), kInf);
-        r.errors.push_back("wire_batch: receive: " + rsp.status().to_string());
-        break;
-      }
-      ++r.completed;
-      if (!rsp->status.ok()) {
-        ++r.failed;
-        r.latency_us.push_back(kInf);
-      } else {
-        r.latency_us.push_back(us_between(f.sent_ns, last));
-        const std::size_t first = (f.seq % frames.size()) * kRounds;
-        if (!payload_matches(*rsp, hot_.reference(first, kRounds)) &&
-            ++r.mismatches == 1) {
-          r.errors.push_back("wire_batch: response differs from the "
-                             "reference for frame " + std::to_string(f.seq));
-        }
-        r.rounds += kRounds;
-        meter.observe(last, r.rounds);
-      }
-      if (last < end) send();
-    }
-    meter.finish(last, r.rounds);
-    r.windows = meter.samples();
-    r.latency_windows = latency_windows(r.latency_us.size());
-    r.threads = proc_status_field("Threads");
-    r.wall_s = static_cast<double>(last - start) * 1e-9;
-    r.cpu_s = process_cpu_s() - cpu0;
-    r.gate_evals =
-        static_cast<double>(r.rounds) * static_cast<double>(hot_gates_);
-    return r;
-  }
-
- protected:
-  // The default per-connection cap (64 rounds) would admit one 256-round
-  // frame at a time, so the window would wait in the socket instead of at
-  // the server; this cap admits the whole window.
-  mcsn::net::SocketOptions socket_options() const override {
-    mcsn::net::SocketOptions opt;
-    opt.max_inflight = kWindow * kRounds;
-    return opt;
-  }
-
- private:
-  static constexpr std::size_t kRounds = 256;
-  static constexpr std::size_t kWindow = 4;
-};
-
-// --- wire_open and shape_churn -----------------------------------------------
-
-/// Open-loop Poisson one-round v1 frames on one connection (sender and
-/// receiver threads). With churn, a second connection sends one request per
-/// slot, alternating a first request for a shape that has been evicted with
-/// a repeat of it while it is resident, cycling through composed and PPC
-/// shapes against a pool smaller than the set.
-class OpenLoop final : public Served {
- public:
-  OpenLoop(std::uint64_t seed, double rate, bool churn)
-      : Served(seed, churn ? 2 : 1), seed_(seed), rate_(rate), churn_(churn) {
-    if (!churn_) return;
-    for (const SortShape shape : composed_shapes()) {
-      cold_.push_back(make_corpus(shape, kColdRounds, rng_));
-      cold_gates_.push_back(netlist_gates(shape));
-    }
-    for (std::size_t i = 0; i < cold_.size(); ++i) order_.push_back(i);
-    rng_.shuffle(order_);
-  }
-
   PhaseResult measure(double seconds, TraceSet* trace) override;
 
- protected:
-  mcsn::ServeOptions options() const override {
-    mcsn::ServeOptions opt;
-    // Smaller than the cold set plus the hot shape: every first request
-    // for a cold shape misses and builds.
-    if (churn_) opt.pool_capacity = 4;
-    return opt;
-  }
-
  private:
-  static constexpr std::size_t kColdRounds = 16;
-  /// One cold-connection request per 100 ms: builds then stall the loop
-  /// for a few percent of the time, well above the rare preemptions of a
-  /// shared machine, so the hot p99 measures the builds.
-  static constexpr double kColdPeriodS = 0.1;
-
   std::uint64_t seed_;
   double rate_;
-  bool churn_;
-  std::vector<Corpus> cold_;
-  std::vector<std::size_t> cold_gates_;
-  std::vector<std::size_t> order_;
+  std::unique_ptr<mcsn::SortService> service_;
+  std::unique_ptr<mcsn::net::SocketServer> server_;
+  std::optional<mcsn::net::SortClient> client_;
 };
 
-PhaseResult OpenLoop::measure(double seconds, TraceSet* trace) {
+PhaseResult WireOpen::measure(double seconds, TraceSet* trace) {
   Tracer* send_tr = trace ? &trace->at(TraceSet::kMain) : nullptr;
   Tracer* recv_tr = trace ? &trace->at(TraceSet::kReceiver) : nullptr;
-  const std::vector<SortRequest> hot_requests = single_round_requests(hot_);
-  std::vector<std::vector<SortRequest>> cold_requests;
-  for (const Corpus& c : cold_) {
-    cold_requests.push_back(single_round_requests(c));
-  }
-  mcsn::net::SortClient& hot = clients_.front();
+  const std::vector<SortRequest> requests = single_round_requests(hot_);
+  mcsn::net::SortClient& client = *client_;
 
   const std::size_t cap =
       static_cast<std::size_t>(rate_ * seconds * 1.25) + 1024;
   std::vector<std::int64_t> due(cap);
   std::vector<double> latency(cap, kInf);
-  // Hot requests sent so far; the top bit marks the end of sending.
+  // Requests sent so far; the top bit marks the end of sending.
   constexpr std::uint64_t kDone = std::uint64_t{1} << 63;
   std::atomic<std::uint64_t> published{0};
   std::atomic<bool> abort{false};
-  // Rounds completed on both connections, for the window meter.
-  std::atomic<std::uint64_t> rounds_done{0};
 
   PhaseResult r;
   r.open_loop = true;
@@ -388,7 +248,10 @@ PhaseResult OpenLoop::measure(double seconds, TraceSet* trace) {
   const std::int64_t start = now_ns();
   const std::int64_t end = start + static_cast<std::int64_t>(seconds * 1e9);
   rx.last_ns = start;
-  WindowMeter meter(start, seconds);
+  // CPU the sender spends waiting for due times: the load generator's, not
+  // the system's, so it is left out of the CPU figures.
+  std::atomic<std::int64_t> wait_cpu_ns{0};
+  WindowMeter meter(start, &wait_cpu_ns);
 
   std::thread receiver([&] {
     std::uint64_t j = 0;
@@ -400,7 +263,7 @@ PhaseResult OpenLoop::measure(double seconds, TraceSet* trace) {
         continue;
       }
       const std::int64_t t0 = now_ns();
-      mcsn::StatusOr<mcsn::SortResponse> rsp = hot.receive();
+      mcsn::StatusOr<mcsn::SortResponse> rsp = client.receive();
       const std::int64_t t1 = now_ns();
       if (!rsp.ok()) {
         rx.error = "receive: " + rsp.status().to_string();
@@ -422,172 +285,68 @@ PhaseResult OpenLoop::measure(double seconds, TraceSet* trace) {
           ++rx.mismatches;
         }
         ++rx.rounds;
-        meter.observe(
-            t1, rounds_done.fetch_add(1, std::memory_order_relaxed) + 1);
+        meter.observe(t1, rx.rounds);
       }
       ++j;
     }
     rx.received = j;
   });
 
-  // Sender: this thread. A 1 ns timer slack lets the waits below wake on
-  // time instead of up to 50 us late.
-  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+  // Sender: this thread.
   mcsn::Xoshiro256 schedule_rng(seed_ ^ 0x5eedc10cULL);
   mcsn::PoissonClock clock(
       rate_, schedule_rng, Clock::time_point(std::chrono::nanoseconds(start)));
-  std::int64_t next_hot = ns_of(clock.next());
-  const auto cold_count = static_cast<std::size_t>(seconds / kColdPeriodS);
-  std::size_t cold_sent = 0;
-  struct ColdPending {
-    std::size_t k;
-    std::int64_t due_ns;
-  };
-  std::optional<ColdPending> cold_pending;
-  std::int64_t cold_last = start;
-  const auto next_cold = [&]() -> std::int64_t {
-    if (!churn_ || cold_sent == cold_count) return INT64_MAX;
-    const double offset_s =
-        (static_cast<double>(cold_sent) + 0.5) * kColdPeriodS;
-    return start + static_cast<std::int64_t>(offset_s * 1e9);
-  };
-  const auto cold_shape = [&](std::size_t k) {
-    return order_[(k / 2) % order_.size()];
-  };
-  const auto cold_round = [&](std::size_t k) {
-    return (k / 2 / order_.size()) % kColdRounds;
-  };
-  const auto receive_cold = [&] {
-    mcsn::net::SortClient& cold = clients_.back();
-    const ColdPending p = *cold_pending;
-    cold_pending.reset();
-    mcsn::StatusOr<mcsn::SortResponse> rsp = cold.receive();
-    cold_last = now_ns();
-    ++r.completed;
-    if (!rsp.ok() || !rsp->status.ok()) {
-      ++r.failed;
-      return;
-    }
-    const std::size_t s = cold_shape(p.k);
-    if (!payload_matches(*rsp, cold_[s].reference(cold_round(p.k)))) {
-      if (++r.mismatches == 1) {
-        r.errors.push_back(
-            "shape_churn: cold response differs from the reference");
-      }
-    }
-    ++r.rounds;
-    rounds_done.fetch_add(1, std::memory_order_relaxed);
-    r.gate_evals += static_cast<double>(cold_gates_[s]);
-    (p.k % 2 == 0 ? r.cold_us : r.warm_us)
-        .push_back(us_between(p.due_ns, cold_last));
-  };
-  const auto cold_readable = [&](std::int64_t wait_ns) {
-    pollfd pfd{clients_.back().native_handle(), POLLIN, 0};
-    const timespec ts{wait_ns / 1000000000, wait_ns % 1000000000};
-    return ::ppoll(&pfd, 1, &ts, nullptr) > 0;
-  };
-
   std::uint64_t sent = 0;
-  while (!abort.load(std::memory_order_relaxed)) {
-    const std::int64_t due_ns = std::min(next_hot, next_cold());
+  while (!abort.load(std::memory_order_relaxed) && sent < cap) {
+    const std::int64_t due_ns = ns_of(clock.next());
     if (due_ns >= end) break;
-    for (std::int64_t t = now_ns(); t < due_ns; t = now_ns()) {
-      if (cold_pending) {
-        if (cold_readable(due_ns - t)) receive_cold();
-      } else {
-        const timespec ts{(due_ns - t) / 1000000000, (due_ns - t) % 1000000000};
-        ::ppoll(nullptr, 0, &ts, nullptr);
-      }
+    const std::int64_t wait_from = thread_cpu_ns();
+    while (now_ns() < due_ns) sched_yield();
+    wait_cpu_ns.fetch_add(thread_cpu_ns() - wait_from,
+                          std::memory_order_relaxed);
+    due[sent] = due_ns;
+    const std::int64_t t0 = now_ns();
+    const mcsn::Status s = client.send(requests[sent % requests.size()]);
+    if (send_tr) {
+      send_tr->record("net.SortClient::send", t0, now_ns(), 1, sent + 1,
+                      request_span_id(sent + 1));
     }
-    if (cold_pending && cold_readable(0)) receive_cold();
-    if (due_ns == next_hot) {
-      if (sent == cap) break;
-      due[sent] = due_ns;
-      const std::int64_t t0 = now_ns();
-      const mcsn::Status s = hot.send(hot_requests[sent % hot_requests.size()]);
-      if (send_tr) {
-        send_tr->record("net.SortClient::send", t0, now_ns(), 1, sent + 1,
-                        request_span_id(sent + 1));
-      }
-      ++r.attempted;
-      r.lag_us.push_back(us_between(due_ns, t0));
-      if (!s.ok()) {
-        ++r.failed;
-        r.errors.push_back("hot stream: send: " + s.to_string());
-        break;
-      }
-      ++sent;
-      published.store(sent, std::memory_order_release);
-      published.notify_one();
-      next_hot = ns_of(clock.next());
-    } else {
-      // A cold build slower than the slot delays this send; the lag shows it.
-      if (cold_pending) receive_cold();
-      const std::size_t k = cold_sent++;
-      const mcsn::Status s =
-          clients_.back().send(cold_requests[cold_shape(k)][cold_round(k)]);
-      ++r.attempted;
-      if (!s.ok()) {
-        ++r.failed;
-        r.errors.push_back("shape_churn: send: " + s.to_string());
-        break;
-      }
-      ++r.sent;
-      cold_pending = ColdPending{k, due_ns};
+    ++r.attempted;
+    r.lag_us.push_back(us_between(due_ns, t0));
+    if (!s.ok()) {
+      ++r.failed;
+      r.errors.push_back("wire_open: send: " + s.to_string());
+      break;
     }
+    ++sent;
+    published.store(sent, std::memory_order_release);
+    published.notify_one();
   }
-  if (cold_pending) receive_cold();
   r.threads = proc_status_field("Threads");
   published.store(sent | kDone, std::memory_order_release);
   published.notify_one();
   receiver.join();
 
-  r.sent += sent;
-  r.completed += rx.received;
-  // Hot requests never answered stay +inf in `latency`, like failures.
+  r.sent = sent;
+  r.completed = rx.received;
+  // Requests never answered stay +inf in `latency`, like failures.
   r.failed += rx.failed + (sent - rx.received);
-  r.mismatches += rx.mismatches;
+  r.mismatches = rx.mismatches;
   if (rx.mismatches > 0) {
-    r.errors.push_back("hot stream: " + std::to_string(rx.mismatches) +
-                       " hot responses differ from the reference");
+    r.errors.push_back("wire_open: " + std::to_string(rx.mismatches) +
+                       " responses differ from the reference");
   }
-  if (!rx.error.empty()) r.errors.push_back("hot stream: " + rx.error);
-  r.rounds += rx.rounds;
-  r.gate_evals +=
+  if (!rx.error.empty()) r.errors.push_back("wire_open: " + rx.error);
+  r.rounds = rx.rounds;
+  r.gate_evals =
       static_cast<double>(rx.rounds) * static_cast<double>(hot_gates_);
   r.latency_us.assign(latency.begin(),
                       latency.begin() + static_cast<std::ptrdiff_t>(sent));
-  // With churn, one window per pass over the cold shapes (each asked
-  // twice): every window holds each shape's build, and its loop stall, once.
-  r.latency_windows =
-      churn_ ? std::max<std::size_t>(cold_count / (2 * order_.size()), 1)
-             : latency_windows(sent);
-  const std::int64_t last = std::max(rx.last_ns, cold_last);
-  r.wall_s = static_cast<double>(last - start) * 1e-9;
-  meter.finish(last, rounds_done.load());
-  r.windows = meter.samples();
-  r.cpu_s = process_cpu_s() - cpu0;
-
-  if (churn_) {
-    // Resident shapes must answer faster than first requests for evicted
-    // ones across the repeats of this phase: in the median, and in most
-    // first-and-repeat pairs.
-    std::size_t warm_faster = 0;
-    const std::size_t pairs = std::min(r.cold_us.size(), r.warm_us.size());
-    for (std::size_t i = 0; i < pairs; ++i) {
-      warm_faster += r.warm_us[i] < r.cold_us[i] ? 1 : 0;
-    }
-    const double cold_p50 = percentile(r.cold_us, 0.5);
-    const double warm_p50 = percentile(r.warm_us, 0.5);
-    if (pairs == 0 || !(warm_p50 < cold_p50) || 2 * warm_faster <= pairs) {
-      r.errors.push_back(
-          "shape_churn: warm requests not faster than cold ones (warm p50 " +
-          std::to_string(warm_p50) + " us, cold p50 " +
-          std::to_string(cold_p50) + " us, warm faster in " +
-          std::to_string(warm_faster) + "/" + std::to_string(pairs) +
-          " pairs)");
-    }
-  }
+  r.wall_s = static_cast<double>(rx.last_ns - start) * 1e-9;
+  meter.finish(rx.last_ns, rx.rounds);
+  r.close_windows(meter);
+  r.cpu_s = process_cpu_s() - cpu0 -
+            static_cast<double>(wait_cpu_ns.load()) * 1e-9;
   return r;
 }
 
@@ -596,17 +355,11 @@ PhaseResult OpenLoop::measure(double seconds, TraceSet* trace) {
 std::unique_ptr<Workload> make_workload(const std::string& name,
                                         std::uint64_t seed) {
   if (name == "engine_flat") return std::make_unique<EngineFlat>(seed);
-  if (name == "wire_batch") return std::make_unique<WireBatch>(seed);
   // Every flush window the service evaluates a partial group at full
   // width, so from about 10k rounds/s on its one worker saturates whenever
-  // a shared VM's host is busy. At these rates it keeps up, and latency
+  // a shared VM's host is busy. At this rate it keeps up, and latency
   // reflects per-request costs, not a growing backlog.
-  if (name == "wire_open") {
-    return std::make_unique<OpenLoop>(seed, 2000, false);
-  }
-  if (name == "shape_churn") {
-    return std::make_unique<OpenLoop>(seed, 1000, true);
-  }
+  if (name == "wire_open") return std::make_unique<WireOpen>(seed, 2000);
   return nullptr;
 }
 
