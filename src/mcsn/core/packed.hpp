@@ -10,8 +10,13 @@
 // Kleene gate semantics become plain bitwise ops, giving 64-way parallel
 // netlist evaluation for property sweeps and throughput benchmarks.
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "mcsn/core/trit.hpp"
 
@@ -161,6 +166,196 @@ template <int W>
     r.word[w] = packed_mux(d0.word[w], d1.word[w], s.word[w]);
   }
   return r;
+}
+
+// --- Round-major trits <-> lanes ------------------------------------------
+//
+// pack_lanes / unpack_lanes convert between `rounds` rows of `width` Trit
+// bytes (row r at rows[r * width], the flat batch layout) and `width`
+// wide values whose lane r carries row r. Both work on blocks of 8 rows x
+// 8 columns. A Trit byte is 0, 1 or 2, i.e. two bits, so the even rows of
+// a block are shift-or'ed into one word and the odd rows into another,
+// four 2-bit fields per byte; masking the two words into their even and
+// odd bit positions leaves one word per rail whose byte c holds column
+// c's 8 rail bits in row order. Eight such words (64 rows) are then
+// byte-transposed into one rail word per column. Unpack runs the same
+// steps backwards. Portable C++: no intrinsics, any byte order.
+
+namespace packed_detail {
+
+inline constexpr std::uint64_t kEvenBits = 0x5555555555555555u;
+inline constexpr std::uint64_t kOddBits = ~kEvenBits;
+inline constexpr std::uint64_t kLowPairs = 0x0303030303030303u;
+
+/// Byte j of the result is p[j] for j < n, zero above.
+inline std::uint64_t load_bytes(const Trit* p, std::size_t n) noexcept {
+  std::uint64_t v = 0;
+  if (n == 8 && std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, 8);
+    return v;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    v |= std::uint64_t{static_cast<std::uint8_t>(p[j])} << (8 * j);
+  }
+  return v;
+}
+
+/// p[j] = byte j of v for j < n.
+inline void store_bytes(Trit* p, std::size_t n, std::uint64_t v) noexcept {
+  if (n == 8 && std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, 8);
+    return;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    p[j] = static_cast<Trit>((v >> (8 * j)) & 0xffu);
+  }
+}
+
+/// Swaps the bits of `lo` at (mask << shift) with the bits of `hi` at mask.
+inline void swap_bits(std::uint64_t& lo, std::uint64_t& hi, int shift,
+                      std::uint64_t mask) noexcept {
+  const std::uint64_t t = ((lo >> shift) ^ hi) & mask;
+  lo ^= t << shift;
+  hi ^= t;
+}
+
+/// Transposes the 8x8 byte matrix whose row i is a[i] (column j = byte j):
+/// afterwards byte j of a[i] is what byte i of a[j] was. Swaps 4x4, then
+/// 2x2, then 1x1 blocks.
+inline void transpose_bytes8(std::array<std::uint64_t, 8>& a) noexcept {
+  for (std::size_t i = 0; i < 4; ++i) {
+    swap_bits(a[i], a[i + 4], 32, 0x00000000ffffffffu);
+  }
+  for (const std::size_t i : {0u, 1u, 4u, 5u}) {
+    swap_bits(a[i], a[i + 2], 16, 0x0000ffff0000ffffu);
+  }
+  for (const std::size_t i : {0u, 2u, 4u, 6u}) {
+    swap_bits(a[i], a[i + 1], 8, 0x00ff00ff00ff00ffu);
+  }
+}
+
+/// One 64-row x 8-column block of pack_lanes: bit0[b] / can1[b] get, in
+/// byte c, column c's bits for rows 8b .. 8b + 7 (bit r = row 8b + r).
+/// `load(row)` returns the row's column bytes; rows at or past `rows`
+/// are not loaded and read as zeros.
+template <class Load>
+void gather_rails(Load&& load, std::size_t rows,
+                  std::array<std::uint64_t, 8>& bit0,
+                  std::array<std::uint64_t, 8>& can1) noexcept {
+  for (std::size_t b = 0; b < 8 && 8 * b < rows; ++b) {
+    std::uint64_t even = 0;  // rows 8b, 8b + 2, ... as 2-bit fields
+    std::uint64_t odd = 0;   // rows 8b + 1, 8b + 3, ...
+    for (std::size_t k = 0; k < 4; ++k) {
+      // Each byte cut to two bits, so a byte outside 0..2 cannot spill
+      // into its neighbours.
+      even |= (load(8 * b + 2 * k) & kLowPairs) << (2 * k);
+      odd |= (load(8 * b + 2 * k + 1) & kLowPairs) << (2 * k);
+    }
+    // zero = 0, one = 1, meta = 2: bit 0 marks one, and a value can be 1
+    // unless it is zero.
+    bit0[b] = (even & kEvenBits) | ((odd & kEvenBits) << 1);
+    can1[b] = ((even | even >> 1) & kEvenBits) |
+              (((odd | odd >> 1) & kEvenBits) << 1);
+  }
+}
+
+/// The inverse of gather_rails for one block: `store(row, bytes)` gets
+/// rows 0 .. rows - 1 (at most 64) of one[b] / meta[b], byte c holding
+/// column c's Trit.
+template <class Store>
+void scatter_rails(Store&& store, std::size_t rows,
+                   const std::array<std::uint64_t, 8>& one,
+                   const std::array<std::uint64_t, 8>& meta) noexcept {
+  for (std::size_t b = 0; b < 8 && 8 * b < rows; ++b) {
+    // Trit bytes of the even rows as 2-bit fields (row 8b + 2k at bits
+    // 2k, 2k + 1 of each byte), and of the odd rows.
+    const std::uint64_t even =
+        (one[b] & kEvenBits) | ((meta[b] << 1) & kOddBits);
+    const std::uint64_t odd =
+        ((one[b] >> 1) & kEvenBits) | (meta[b] & kOddBits);
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t row = 8 * b + 2 * k;
+      if (row < rows) store(row, (even >> (2 * k)) & kLowPairs);
+      if (row + 1 < rows) store(row + 1, (odd >> (2 * k)) & kLowPairs);
+    }
+  }
+}
+
+}  // namespace packed_detail
+
+/// Lane r of out[c] = rows[r * width + c] for r < rows.size() / width
+/// (at most kLanes rows); lanes past the last row are set to 0.
+/// Preconditions: out.size() == width, rows.size() a multiple of width.
+template <int W>
+void pack_lanes(std::span<const Trit> rows, std::size_t width,
+                std::span<WidePackedTrit<W>> out) noexcept {
+  using namespace packed_detail;
+  const std::size_t rounds = width == 0 ? 0 : rows.size() / width;
+  for (std::size_t w = 0; w < static_cast<std::size_t>(W); ++w) {
+    if (64 * w >= rounds) {
+      for (std::size_t c = 0; c < width; ++c) out[c].word[w] = PackedTrit{};
+      continue;
+    }
+    const std::size_t live = std::min<std::size_t>(64, rounds - 64 * w);
+    for (std::size_t c0 = 0; c0 < width; c0 += 8) {
+      const std::size_t n = std::min<std::size_t>(8, width - c0);
+      const Trit* const block = &rows[64 * w * width + c0];
+      std::array<std::uint64_t, 8> bit0{};
+      std::array<std::uint64_t, 8> can1{};
+      if (live == 64 && n == 8) {  // the common full block, unchecked
+        gather_rails([&](std::size_t r) {
+          return load_bytes(block + r * width, 8);
+        }, 64, bit0, can1);
+      } else {
+        gather_rails([&](std::size_t r) -> std::uint64_t {
+          return r < live ? load_bytes(block + r * width, n) : 0;
+        }, live, bit0, can1);
+      }
+      transpose_bytes8(bit0);
+      transpose_bytes8(can1);
+      for (std::size_t c = 0; c < n; ++c) {
+        out[c0 + c].word[w] = PackedTrit{~bit0[c], can1[c]};
+      }
+    }
+  }
+}
+
+/// The inverse of pack_lanes: rows[r * width + c] = lane r of
+/// value_at(c) for r < rows.size() / width. `value_at(c)` returns the
+/// WidePackedTrit<W> of column c (by reference or value).
+template <int W, class ValueAt>
+void unpack_lanes(ValueAt&& value_at, std::size_t width,
+                  std::span<Trit> rows) {
+  using namespace packed_detail;
+  const std::size_t rounds = width == 0 ? 0 : rows.size() / width;
+  for (std::size_t w = 0; w < static_cast<std::size_t>(W); ++w) {
+    if (64 * w >= rounds) break;
+    const std::size_t live = std::min<std::size_t>(64, rounds - 64 * w);
+    for (std::size_t c0 = 0; c0 < width; c0 += 8) {
+      const std::size_t n = std::min<std::size_t>(8, width - c0);
+      Trit* const block = &rows[64 * w * width + c0];
+      std::array<std::uint64_t, 8> one{};
+      std::array<std::uint64_t, 8> meta{};
+      for (std::size_t c = 0; c < n; ++c) {
+        const PackedTrit v = value_at(c0 + c).word[w];
+        one[c] = v.can1 & ~v.can0;
+        meta[c] = v.can1 & v.can0;
+      }
+      // one[b] / meta[b]: byte c holds column c0 + c's rows
+      // 64w + 8b .. 64w + 8b + 7.
+      transpose_bytes8(one);
+      transpose_bytes8(meta);
+      if (live == 64 && n == 8) {  // the common full block
+        scatter_rails([&](std::size_t r, std::uint64_t v) {
+          store_bytes(block + r * width, 8, v);
+        }, 64, one, meta);
+      } else {
+        scatter_rails([&](std::size_t r, std::uint64_t v) {
+          store_bytes(block + r * width, n, v);
+        }, live, one, meta);
+      }
+    }
+  }
 }
 
 }  // namespace mcsn

@@ -61,36 +61,93 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     max_level = std::max(max_level, level[id]);
   }
 
-  // 3. Slot assignment. retain_all_nodes keeps the identity mapping; the
-  // dense mode numbers live inputs first (in creation order), then live
-  // constants, then gates in (level, creation) order — exactly the order
-  // the executor writes them, which keeps the working set contiguous.
+  // 3. Slot assignment. retain_all_nodes keeps the identity mapping.
+  // Otherwise live inputs take the first slots, then live constants, and
+  // gates draw from a free list in schedule order. A value's slot returns
+  // to the list once the last step that reads it has run, where a step is
+  // a level (levelized) or one op (creation order), so only a strictly
+  // later step can take it: ops of one level never clobber each other's
+  // operands, which keeps level_ops() slicing safe. Some values are
+  // pinned, their slot never handed out again: constants (materialized
+  // once per executor, not per run), outputs (read after the last op) and
+  // values nothing reads (so no write ever lands on an unread value).
   std::vector<NodeId> gate_order;
   gate_order.reserve(n);
   for (NodeId id = 0; id < n; ++id) {
     if (live[id] && is_gate(nodes[id].kind)) gate_order.push_back(id);
   }
   if (opt.levelize) {
-    std::stable_sort(
-        gate_order.begin(), gate_order.end(),
-        [&level](NodeId a, NodeId b) { return level[a] < level[b]; });
+    // Stable counting sort by level (creation order within a level).
+    std::vector<std::size_t> first(max_level + 2, 0);
+    for (const NodeId id : gate_order) ++first[level[id] + 1];
+    for (std::size_t l = 1; l < first.size(); ++l) first[l] += first[l - 1];
+    std::vector<NodeId> by_level(gate_order.size());
+    for (const NodeId id : gate_order) by_level[first[level[id]]++] = id;
+    gate_order = std::move(by_level);
   }
 
   if (opt.retain_all_nodes) {
     for (NodeId id = 0; id < n; ++id) p.slot_of_node_[id] = id;
     p.slot_count_ = n;
   } else {
+    constexpr std::uint32_t kPinned = 0xffffffffu;
+    constexpr std::uint32_t kNone = 0xffffffffu;
     std::uint32_t next = 0;
     for (const NodeId id : nl.inputs()) {
       if (live[id]) p.slot_of_node_[id] = next++;
     }
+    // step[id]: when the node's value is written (0 = before the first
+    // op); last[id]: the last step that reads it, or kPinned.
+    std::vector<std::uint32_t> step(n, 0);
+    for (std::size_t k = 0; k < gate_order.size(); ++k) {
+      step[gate_order[k]] = opt.levelize
+                                ? level[gate_order[k]]
+                                : static_cast<std::uint32_t>(k + 1);
+    }
+    std::vector<std::uint32_t> last(step);
+    for (const NodeId id : gate_order) {
+      const GateNode& g = nodes[id];
+      for (int j = 0; j < cell_arity(g.kind); ++j) {
+        last[g.in[j]] = std::max(last[g.in[j]], step[id]);
+      }
+    }
     for (NodeId id = 0; id < n; ++id) {
+      if (last[id] == step[id]) last[id] = kPinned;  // nothing reads it
       const CellKind k = nodes[id].kind;
       if (live[id] && (k == CellKind::const0 || k == CellKind::const1)) {
         p.slot_of_node_[id] = next++;
+        last[id] = kPinned;
       }
     }
-    for (const NodeId id : gate_order) p.slot_of_node_[id] = next++;
+    for (const OutputPort& out : nl.outputs()) last[out.node] = kPinned;
+
+    // Values whose slot frees after step s, as intrusive lists.
+    const std::size_t steps =
+        opt.levelize ? max_level + 1 : gate_order.size() + 1;
+    std::vector<std::uint32_t> frees_head(steps, kNone);
+    std::vector<std::uint32_t> frees_next(n, kNone);
+    for (NodeId id = 0; id < n; ++id) {
+      if (!live[id] || last[id] == kPinned) continue;
+      frees_next[id] = frees_head[last[id]];
+      frees_head[last[id]] = id;
+    }
+    std::vector<std::uint32_t> free_slots;
+    free_slots.reserve(n);
+    std::uint32_t released = 0;  // steps [0, released) are on the list
+    for (const NodeId id : gate_order) {
+      for (; released < step[id]; ++released) {
+        for (std::uint32_t d = frees_head[released]; d != kNone;
+             d = frees_next[d]) {
+          free_slots.push_back(p.slot_of_node_[d]);
+        }
+      }
+      if (free_slots.empty()) {
+        p.slot_of_node_[id] = next++;
+      } else {
+        p.slot_of_node_[id] = free_slots.back();
+        free_slots.pop_back();
+      }
+    }
     p.slot_count_ = next;
   }
 
@@ -194,14 +251,51 @@ ThreadPool* BatchEvaluator::acquire_pool() const {
   return pool_.get();
 }
 
-template <class Pack, class Unpack>
-void BatchEvaluator::run_grouped(std::size_t n, Pack&& pack,
-                                 Unpack&& unpack) const {
+std::vector<Word> BatchEvaluator::run(std::span<const Word> inputs) const {
+  const std::size_t width = prog_.input_count();
+  const std::size_t outs = prog_.output_count();
+  std::vector<Trit> flat;
+  flat.reserve(inputs.size() * width);
+  for (const Word& w : inputs) {
+    assert(w.size() == width);
+    flat.insert(flat.end(), w.begin(), w.end());
+  }
+  std::vector<Trit> out(inputs.size() * outs);
+  run_flat(flat, out);
+  std::vector<Word> results(inputs.size(), Word(outs));
+  for (std::size_t r = 0; r < inputs.size(); ++r) {
+    for (std::size_t o = 0; o < outs; ++o) results[r][o] = out[r * outs + o];
+  }
+  return results;
+}
+
+void BatchEvaluator::run_flat(std::span<const Trit> inputs,
+                              std::span<Trit> outputs) const {
   using Backend = Packed256Backend;
+  using Value = Backend::Value;
   constexpr std::size_t kLanes = Backend::kLanes;
   const std::size_t width = prog_.input_count();
+  const std::size_t outs = prog_.output_count();
+  assert(width > 0 && inputs.size() % width == 0);
+  const std::size_t n = width == 0 ? 0 : inputs.size() / width;
+  assert(outputs.size() == n * outs);
   if (n == 0) return;
   const std::size_t groups = (n + kLanes - 1) / kLanes;
+
+  // One lane group: transpose its rounds into lanes, evaluate, transpose
+  // the outputs back into their rows.
+  const auto run_group = [&](auto& exec, std::vector<Value>& packed,
+                             std::size_t g) {
+    const std::size_t base = g * kLanes;
+    const std::size_t active = std::min(kLanes, n - base);
+    pack_lanes<4>(inputs.subspan(base * width, active * width), width,
+                  std::span<Value>(packed));
+    exec.run(packed);
+    unpack_lanes<4>([&exec](std::size_t o) -> const Value& {
+                      return exec.output(o);
+                    },
+                    outs, outputs.subspan(base * outs, active * outs));
+  };
 
   if (opt_.level_parallel) {
     // Intra-vector mode: lane groups run sequentially; each evaluation is
@@ -209,26 +303,16 @@ void BatchEvaluator::run_grouped(std::size_t n, Pack&& pack,
     LevelParallelExecutor<Backend> exec(
         prog_, parallel_ > 1 ? acquire_pool() : nullptr,
         LevelParallelOptions{parallel_, opt_.level_min_ops});
-    std::vector<typename Backend::Value> packed(width);
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t base = g * kLanes;
-      const int active = static_cast<int>(std::min(kLanes, n - base));
-      pack(std::span<typename Backend::Value>(packed), base, active);
-      exec.run(packed);
-      unpack(exec, base, active);
-    }
+    std::vector<Value> packed(width);
+    for (std::size_t g = 0; g < groups; ++g) run_group(exec, packed, g);
     return;
   }
 
   const auto shard = [&](std::size_t first_group, std::size_t stride) {
     CompiledExecutor<Backend> exec(prog_);
-    std::vector<typename Backend::Value> packed(width);
+    std::vector<Value> packed(width);
     for (std::size_t g = first_group; g < groups; g += stride) {
-      const std::size_t base = g * kLanes;
-      const int active = static_cast<int>(std::min(kLanes, n - base));
-      pack(std::span<typename Backend::Value>(packed), base, active);
-      exec.run(packed);
-      unpack(exec, base, active);
+      run_group(exec, packed, g);
     }
   };
 
@@ -240,66 +324,6 @@ void BatchEvaluator::run_grouped(std::size_t n, Pack&& pack,
     acquire_pool()->run_and_wait(
         shards, [&](std::size_t t) { shard(t, shards); });
   }
-}
-
-std::vector<Word> BatchEvaluator::run(std::span<const Word> inputs) const {
-  using Backend = Packed256Backend;
-  const std::size_t width = prog_.input_count();
-  const std::size_t outs = prog_.output_count();
-  std::vector<Word> results(inputs.size());
-  run_grouped(
-      inputs.size(),
-      [&](std::span<Backend::Value> packed, std::size_t base, int active) {
-        for (std::size_t i = 0; i < width; ++i) {
-          Backend::Value& v = packed[i];
-          for (int lane = 0; lane < active; ++lane) {
-            assert(inputs[base + static_cast<std::size_t>(lane)].size() ==
-                   width);
-            v.set_lane(lane, inputs[base + static_cast<std::size_t>(lane)][i]);
-          }
-        }
-      },
-      [&](const auto& exec, std::size_t base, int active) {
-        for (int lane = 0; lane < active; ++lane) {
-          Word w(outs);
-          for (std::size_t o = 0; o < outs; ++o) {
-            w[o] = exec.output_lane(o, lane);
-          }
-          results[base + static_cast<std::size_t>(lane)] = std::move(w);
-        }
-      });
-  return results;
-}
-
-void BatchEvaluator::run_flat(std::span<const Trit> inputs,
-                              std::span<Trit> outputs) const {
-  using Backend = Packed256Backend;
-  const std::size_t width = prog_.input_count();
-  const std::size_t outs = prog_.output_count();
-  assert(width > 0 && inputs.size() % width == 0);
-  const std::size_t n = width == 0 ? 0 : inputs.size() / width;
-  assert(outputs.size() == n * outs);
-  run_grouped(
-      n,
-      [&](std::span<Backend::Value> packed, std::size_t base, int active) {
-        for (std::size_t i = 0; i < width; ++i) {
-          Backend::Value& v = packed[i];
-          for (int lane = 0; lane < active; ++lane) {
-            v.set_lane(
-                lane,
-                inputs[(base + static_cast<std::size_t>(lane)) * width + i]);
-          }
-        }
-      },
-      [&](const auto& exec, std::size_t base, int active) {
-        for (int lane = 0; lane < active; ++lane) {
-          Trit* const row =
-              outputs.data() + (base + static_cast<std::size_t>(lane)) * outs;
-          for (std::size_t o = 0; o < outs; ++o) {
-            row[o] = exec.output_lane(o, lane);
-          }
-        }
-      });
 }
 
 }  // namespace mcsn

@@ -8,9 +8,14 @@
 // CompiledProgram pays those costs once:
 //
 //   * dead-node elimination  — gates no output depends on are dropped;
-//   * dense operand slots    — live values are renumbered into a compact
-//                              buffer (inputs, then constants, then gates in
-//                              schedule order) so the working set is minimal;
+//   * reused operand slots   — inputs, then constants, take the first slots;
+//                              each gate takes a slot freed by a value whose
+//                              last reader ran in an earlier level (an
+//                              earlier op without levelization), so the
+//                              buffer holds only what is live at once (772
+//                              slots for 12,617 gates at 10x16). Constants
+//                              and outputs keep their slots. Under
+//                              retain_all_nodes, slot == NodeId instead;
 //   * levelization           — gates are scheduled by logic level; ops within
 //                              one level are mutually independent, which
 //                              level_ops() exposes for parallel execution;
@@ -76,7 +81,8 @@ class CompiledProgram {
   [[nodiscard]] static CompiledProgram compile(const Netlist& nl,
                                                const CompileOptions& opt = {});
 
-  /// Size of the value buffer an executor must provide.
+  /// Size of the value buffer an executor must provide: with reused slots,
+  /// the most values live at once; under retain_all_nodes, the node count.
   [[nodiscard]] std::size_t slot_count() const noexcept { return slot_count_; }
 
   [[nodiscard]] std::size_t input_count() const noexcept {
@@ -121,7 +127,10 @@ class CompiledProgram {
     return const_inits_;
   }
 
-  /// Slot holding the value of `id`, or kNoSlot if eliminated.
+  /// Slot `id`'s value is written to, or kNoSlot if eliminated. The slot
+  /// holds that value only until a later op reuses it. Constants, outputs
+  /// and values nothing reads keep theirs to the end of run(), as does
+  /// every node under retain_all_nodes.
   [[nodiscard]] std::uint32_t slot_of_node(NodeId id) const {
     return slot_of_node_[id];
   }
@@ -234,7 +243,10 @@ class CompiledExecutor {
     return slots_;
   }
 
-  /// Full slot buffer from the last run (same span run() returned).
+  /// Full slot buffer from the last run (same span run() returned). Slots
+  /// are reused within a run, so a slot ends up holding the last value
+  /// written to it; only under retain_all_nodes is this every node's
+  /// value, indexable by NodeId.
   [[nodiscard]] std::span<const Value> values() const noexcept {
     return slots_;
   }
@@ -282,9 +294,8 @@ struct LevelParallelOptions {
 /// Executes a CompiledProgram with intra-vector parallelism: every level's
 /// ops are mutually independent (they read only earlier levels and write
 /// disjoint slots), so wide levels are sliced into contiguous chunks that
-/// run concurrently on a ThreadPool, with a barrier between levels. This
-/// speeds up a single evaluation of one huge netlist (e.g. an elaborated
-/// 10-channel/16-bit network) even at batch size 1 — the axis
+/// run concurrently on a ThreadPool, with a barrier between levels. It
+/// parallelizes a single evaluation, even at batch size 1 — the axis
 /// BatchEvaluator's across-vector sharding cannot reach.
 ///
 /// Requires a levelized program; with a null pool, tasks <= 1, or a
@@ -382,7 +393,7 @@ struct BatchOptions {
   std::shared_ptr<ThreadPool> pool;
   /// Intra-vector mode: instead of sharding lane groups across threads,
   /// run groups sequentially and parallelize *inside* each evaluation by
-  /// slicing wide levels (LevelParallelExecutor). Wins on huge netlists at
+  /// slicing wide levels (LevelParallelExecutor). Aimed at huge netlists at
   /// small batch sizes, where across-vector sharding has nothing to shard.
   bool level_parallel = false;
   /// Levels narrower than this stay serial in level_parallel mode.
@@ -390,9 +401,10 @@ struct BatchOptions {
   CompileOptions compile;
 };
 
-/// High-throughput evaluation of many input vectors: packs them into
-/// 256-lane groups, runs the compiled program per group, and unpacks the
-/// outputs, distributing work over a persistent ThreadPool when profitable
+/// High-throughput evaluation of many input vectors: transposes them into
+/// 256-lane groups (pack_lanes), runs the compiled program per group, and
+/// transposes the outputs back (unpack_lanes), distributing work over a
+/// persistent ThreadPool when profitable
 /// (across lane groups by default, across level slices in level_parallel
 /// mode). Thread-safe: concurrent run() calls share the pool.
 class BatchEvaluator {
@@ -424,14 +436,15 @@ class BatchEvaluator {
 
   /// Each element of `inputs` is one input vector of width input_width().
   /// Returns one output Word (width output_width()) per input vector, in
-  /// order. A trailing partial lane group is handled transparently.
+  /// order. Copies the vectors into one flat buffer and calls run_flat().
   [[nodiscard]] std::vector<Word> run(std::span<const Word> inputs) const;
 
   /// Zero-copy variant: `inputs` holds N input vectors back to back
   /// (N x input_width() trits, vector-major) and results are written into
   /// `outputs` (N x output_width() trits) — no Word construction anywhere
-  /// on the path. Packing reads and unpacking writes go straight between
-  /// the flat buffers and the wide lanes. Preconditions (asserted):
+  /// on the path. Each 256-round group is transposed straight from the
+  /// flat input into lanes and back into the flat output, and a trailing
+  /// partial group is handled transparently. Preconditions (asserted):
   /// inputs.size() divisible by input_width(), outputs sized to match.
   /// Thread-safe like run(); parallel sharding and level_parallel mode
   /// apply identically.
@@ -440,15 +453,6 @@ class BatchEvaluator {
  private:
   /// The shared pool, creating the lazily-owned one on first need.
   [[nodiscard]] ThreadPool* acquire_pool() const;
-
-  /// Shared orchestration behind run()/run_flat(): walks `n` input vectors
-  /// in 256-lane groups, calling `pack(packed, base, active)` to fill a
-  /// group and `unpack(executor, base, active)` to read it back — serially,
-  /// sharded across the pool, or per-level in level_parallel mode, per the
-  /// options. pack/unpack may run concurrently from pool threads and must
-  /// write disjoint rows.
-  template <class Pack, class Unpack>
-  void run_grouped(std::size_t n, Pack&& pack, Unpack&& unpack) const;
 
   CompiledProgram prog_;
   BatchOptions opt_;

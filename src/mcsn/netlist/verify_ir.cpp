@@ -1,5 +1,6 @@
 #include "mcsn/netlist/verify_ir.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 
@@ -15,7 +16,7 @@ Status fail(const char* token, std::string detail) {
                           std::move(detail));
 }
 
-/// Who wrote a slot, for double-write diagnostics. Encoded as:
+/// Who wrote a slot, for rewrite and read-order diagnostics. Encoded as:
 /// kUnwritten, kInput + i, kConst + i, or kOp + i.
 constexpr std::size_t kUnwritten = static_cast<std::size_t>(-1);
 
@@ -134,139 +135,163 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
     }
   }
 
-  // --- double-write: each slot has at most one writer across live
-  // inputs, const inits and op destinations.
+  // --- Slot writes, replayed in schedule order. A step is a level (1-based;
+  // inputs and constants are step 0) in a levelized program, one op in a
+  // creation-order one. Per slot: the current value's writer and step, and
+  // the last step that read it.
+  std::vector<char> ever_written(ir.slot_count, 0);
+  std::vector<char> pinned_const(ir.slot_count, 0);
+  std::vector<char> pinned_output(ir.slot_count, 0);
+  for (const std::uint32_t s : ir.input_slots) {
+    if (s != CompiledProgram::kNoSlot) ever_written[s] = 1;
+  }
+  for (const CompiledProgram::ConstInit& c : ir.const_inits) {
+    ever_written[c.slot] = 1;
+    pinned_const[c.slot] = 1;
+  }
+  for (const CompiledOp& op : ir.ops) ever_written[op.out] = 1;
+  for (const std::uint32_t s : ir.output_slots) pinned_output[s] = 1;
+
   std::vector<std::size_t> writer(ir.slot_count, kUnwritten);
-  const auto record_write = [&](std::uint32_t slot,
-                                std::size_t tag) -> Status {
+  std::vector<std::size_t> write_step(ir.slot_count, 0);
+  std::vector<std::size_t> read_step(ir.slot_count, 0);  // 0 = unread
+
+  // --- const-rewrite: a constant is materialized once per executor, not
+  // per run(), so its slot is written exactly once. output-rewrite: an
+  // output slot may hold temporaries before its output, but a write never
+  // lands on a value nothing has read, so the output, once written, stays
+  // to the end of run(). early-reuse: a slot is rewritten only in a step
+  // strictly after its current value was written and last read — ops of
+  // one level run concurrently under level_ops().
+  const auto record_write = [&](std::uint32_t slot, std::size_t tag,
+                                std::size_t step) -> Status {
     if (writer[slot] != kUnwritten) {
-      return fail("double-write", "slot " + slot_str(slot) + " written by " +
-                                      writer_str(writer[slot], ir) +
-                                      " and " + writer_str(tag, ir));
+      const auto who = [&] {
+        return "slot " + slot_str(slot) + " written by " +
+               writer_str(writer[slot], ir) + " and again by " +
+               writer_str(tag, ir);
+      };
+      if (pinned_const[slot]) {
+        return fail("const-rewrite", who() + "; it holds a constant");
+      }
+      const std::size_t busy = std::max(write_step[slot], read_step[slot]);
+      if (busy >= step) {
+        return fail("early-reuse",
+                    who() + " in step " + std::to_string(step) +
+                        ", but its value is still in use in step " +
+                        std::to_string(busy) + " (want a strictly later step)");
+      }
+      if (pinned_output[slot] && read_step[slot] == 0) {
+        return fail("output-rewrite",
+                    who() + "; it is an output slot and the value it "
+                            "overwrites was never read");
+      }
     }
     writer[slot] = tag;
+    write_step[slot] = step;
+    read_step[slot] = 0;
     return Status();
   };
   for (std::size_t i = 0; i < ir.input_slots.size(); ++i) {
     if (ir.input_slots[i] == CompiledProgram::kNoSlot) continue;
-    if (Status s = record_write(ir.input_slots[i], i); !s.ok()) return s;
+    if (Status s = record_write(ir.input_slots[i], i, 0); !s.ok()) return s;
   }
   for (std::size_t i = 0; i < ir.const_inits.size(); ++i) {
     if (Status s = record_write(ir.const_inits[i].slot,
-                                ir.input_slots.size() + i);
-        !s.ok()) {
-      return s;
-    }
-  }
-  for (std::size_t k = 0; k < n_ops; ++k) {
-    if (Status s = record_write(
-            ir.ops[k].out, ir.input_slots.size() + ir.const_inits.size() + k);
+                                ir.input_slots.size() + i, 0);
         !s.ok()) {
       return s;
     }
   }
 
-  // --- dangling-read / operand-order: walking the stream in schedule
-  // order, every operand an op actually reads (per cell_arity) must
-  // already hold a value — written by an input, a const init, or an
-  // earlier op. A read of a slot nobody ever writes is a dangling read; a
-  // read of a slot written only later is a schedule-order violation.
-  std::vector<char> written(ir.slot_count, 0);
-  for (const std::uint32_t s : ir.input_slots) {
-    if (s != CompiledProgram::kNoSlot) written[s] = 1;
-  }
-  for (const CompiledProgram::ConstInit& c : ir.const_inits) {
-    written[c.slot] = 1;
-  }
+  // --- dangling-read / operand-order / operand-level: every operand an op
+  // actually reads (per cell_arity) must already hold a value — written by
+  // an input, a const init, or an earlier op. A read of a slot nobody ever
+  // writes is a dangling read; a read of a slot written only later is a
+  // schedule-order violation; in a levelized program, a read of a value
+  // written in the reader's own level is a level violation (level_ops()
+  // slicing assumes ops within one level are mutually independent).
+  const bool levelized = !ir.level_offsets.empty();
+  std::size_t level = 0;
   for (std::size_t k = 0; k < n_ops; ++k) {
+    if (levelized) {
+      while (k >= ir.level_offsets[level + 1]) ++level;
+    }
+    const std::size_t step = levelized ? level + 1 : k + 1;
     const CompiledOp& op = ir.ops[k];
     const int arity = cell_arity(op.kind);
     for (int j = 0; j < arity; ++j) {
-      if (written[op.in[j]]) continue;
-      if (writer[op.in[j]] == kUnwritten) {
-        return fail("dangling-read",
-                    "op #" + std::to_string(k) + " reads slot " +
-                        slot_str(op.in[j]) + ", which is never written");
-      }
-      return fail("operand-order",
-                  "op #" + std::to_string(k) + " reads slot " +
-                      slot_str(op.in[j]) + " before its writer " +
-                      writer_str(writer[op.in[j]], ir) + " runs");
-    }
-    written[op.out] = 1;
-  }
-
-  // --- operand-level: in a levelized schedule, an op's operands must come
-  // from strictly earlier levels (inputs/consts count as level 0, ops in
-  // bucket l produce level l + 1). Same-level reads can pass the stream-
-  // order check above yet still break level_ops() parallel slicing, which
-  // assumes ops within one level are mutually independent.
-  if (!ir.level_offsets.empty()) {
-    std::vector<std::size_t> slot_level(ir.slot_count, 0);
-    for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
-      for (std::size_t k = ir.level_offsets[l]; k < ir.level_offsets[l + 1];
-           ++k) {
-        slot_level[ir.ops[k].out] = l + 1;
-      }
-    }
-    for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
-      for (std::size_t k = ir.level_offsets[l]; k < ir.level_offsets[l + 1];
-           ++k) {
-        const CompiledOp& op = ir.ops[k];
-        const int arity = cell_arity(op.kind);
-        for (int j = 0; j < arity; ++j) {
-          if (slot_level[op.in[j]] > l) {
-            return fail("operand-level",
-                        "op #" + std::to_string(k) + " in level " +
-                            std::to_string(l) + " reads slot " +
-                            slot_str(op.in[j]) + " written in level " +
-                            std::to_string(slot_level[op.in[j]]) +
-                            " (want a strictly earlier level)");
-          }
+      const std::uint32_t s = op.in[j];
+      if (writer[s] == kUnwritten) {
+        if (!ever_written[s]) {
+          return fail("dangling-read",
+                      "op #" + std::to_string(k) + " reads slot " +
+                          slot_str(s) + ", which is never written");
         }
+        return fail("operand-order",
+                    "op #" + std::to_string(k) + " reads slot " +
+                        slot_str(s) + " before any writer of it runs");
       }
+      if (write_step[s] >= step) {
+        return fail("operand-level",
+                    "op #" + std::to_string(k) + " in level " +
+                        std::to_string(step - 1) + " reads slot " +
+                        slot_str(s) + " written in level " +
+                        std::to_string(write_step[s] - 1) +
+                        " (want a strictly earlier level)");
+      }
+      read_step[s] = step;  // steps never decrease along the stream
+    }
+    if (Status s = record_write(
+            op.out, ir.input_slots.size() + ir.const_inits.size() + k, step);
+        !s.ok()) {
+      return s;
     }
   }
 
   // --- unwritten-output / unwritten-slot: declared outputs must carry a
-  // value, and dense renumbering means every slot has a writer — a
-  // writer-less slot is a renumbering bug (or a mutation).
+  // value, and dense slot allocation means every slot has a writer — a
+  // writer-less slot is an allocation bug (or a mutation).
   for (std::size_t o = 0; o < ir.output_slots.size(); ++o) {
-    if (writer[ir.output_slots[o]] == kUnwritten) {
+    if (!ever_written[ir.output_slots[o]]) {
       return fail("unwritten-output",
                   "output #" + std::to_string(o) + " slot " +
                       slot_str(ir.output_slots[o]) + " has no writer");
     }
   }
   for (std::size_t s = 0; s < ir.slot_count; ++s) {
-    if (writer[s] == kUnwritten) {
+    if (!ever_written[s]) {
       return fail("unwritten-slot",
                   "slot " + std::to_string(s) +
-                      " has no writer (dense renumbering left a hole)");
+                      " has no writer (slot allocation left a hole)");
     }
   }
 
   // --- orphan-op: with dead-node elimination on, every op must be
-  // transitively reachable from a declared output. One reverse pass
-  // suffices — the stream is a topological order, so an op's readers all
-  // come later.
+  // transitively reachable from a declared output. One reverse pass over
+  // the stream tracks which slots hold a needed value: an op's write ends
+  // the need for its slot (earlier writers of a reused slot fed other
+  // readers) and starts the need for its operands.
   if (opt.require_reachable) {
     std::vector<char> needed(ir.slot_count, 0);
     for (const std::uint32_t s : ir.output_slots) needed[s] = 1;
+    std::size_t orphan = n_ops;
     for (std::size_t k = n_ops; k-- > 0;) {
       const CompiledOp& op = ir.ops[k];
-      if (!needed[op.out]) continue;
+      if (!needed[op.out]) {
+        orphan = k;
+        continue;
+      }
+      needed[op.out] = 0;
       const int arity = cell_arity(op.kind);
       for (int j = 0; j < arity; ++j) needed[op.in[j]] = 1;
     }
-    for (std::size_t k = 0; k < n_ops; ++k) {
-      if (!needed[ir.ops[k].out]) {
-        return fail("orphan-op",
-                    "op #" + std::to_string(k) + " (out slot " +
-                        slot_str(ir.ops[k].out) +
-                        ") is unreachable from every declared output, but "
-                        "dead-node elimination was enabled");
-      }
+    if (orphan < n_ops) {
+      return fail("orphan-op",
+                  "op #" + std::to_string(orphan) + " (out slot " +
+                      slot_str(ir.ops[orphan].out) +
+                      ") is unreachable from every declared output, but "
+                      "dead-node elimination was enabled");
     }
   }
 

@@ -4,22 +4,27 @@
 // CompiledProgram is the trusted core of every execution path — the lane
 // backends replay its instruction stream with zero per-op checking, so a
 // malformed program (an out-of-range slot, an operand scheduled after its
-// reader, a double-written slot) is silent memory corruption or a wrong
-// sort, not an error message. verify_ir() makes those invariants checked
-// instead of assumed:
+// reader, a slot reused while its value is still needed) is silent memory
+// corruption or a wrong sort, not an error message. verify_ir() makes
+// those invariants checked instead of assumed:
 //
 //   * bounds         — every slot index (inputs, outputs, const inits, op
 //                      operands and destinations) is < slot_count(), and
 //                      level_offsets is a monotone partition of the ops;
 //   * gate stream    — the instruction stream contains only real gates
 //                      (no input/const kinds) with in-arity operands;
-//   * single write   — each slot has exactly one writer (a live input, a
-//                      const init, or one op destination): no double
-//                      writes and no never-written slots;
+//   * slot reuse     — compile() hands a slot to a new value once the old
+//                      one is dead. A step is a level (levelized) or one
+//                      op (creation order); a slot is rewritten only in a
+//                      step strictly after its current value was written
+//                      and last read, a const-init slot is written exactly
+//                      once, and a write to an output slot never lands on
+//                      a value nothing has read;
 //   * schedule order — every operand an op actually reads (per
 //                      cell_arity) was written strictly earlier in the
 //                      stream, and — for levelized programs — in a
 //                      strictly earlier level;
+//   * no holes       — every slot has a writer;
 //   * reachability   — every declared output has a writer, and (when the
 //                      program was compiled with dead-node elimination)
 //                      every op is transitively reachable from an output,
@@ -27,9 +32,16 @@
 //
 // Each violated invariant produces a distinct, greppable diagnostic token
 // in the Status message ("slot-bounds", "level-structure", "bad-op",
-// "double-write", "unwritten-slot", "dangling-read", "operand-order",
-// "operand-level", "unwritten-output", "orphan-op") with the offending
-// indices — precise enough that a failed CI sweep names the broken op.
+// "early-reuse", "const-rewrite", "output-rewrite", "unwritten-slot",
+// "dangling-read", "operand-order", "operand-level", "unwritten-output",
+// "orphan-op") with the offending indices — precise enough that a failed
+// CI sweep names the broken op.
+//
+// The IR names slots, not netlist nodes, so a read sees whatever value its
+// slot holds at that point of the stream. A reuse that makes a later op
+// read the new value instead of the old one is therefore a different but
+// well-formed program, invisible here; the differential tests against
+// NodeWalkEvaluator guard that case.
 //
 // The pass runs automatically at the end of CompiledProgram::compile() in
 // debug builds and in sanitizer builds (MCSN_VERIFY, defined by CMake

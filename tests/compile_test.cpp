@@ -14,6 +14,7 @@
 #include "mcsn/core/valid.hpp"
 #include "mcsn/netlist/eval.hpp"
 #include "mcsn/nets/catalog.hpp"
+#include "mcsn/nets/compose/compose.hpp"
 #include "mcsn/nets/elaborate.hpp"
 #include "mcsn/sorter.hpp"
 #include "mcsn/util/rng.hpp"
@@ -179,26 +180,40 @@ TEST(Compile, LevelizedScheduleIsTopologicalAndSliced) {
 
   ASSERT_GT(prog.level_count(), 0u);
   std::vector<char> written(prog.slot_count(), 0);
+  std::vector<char> is_const(prog.slot_count(), 0);
   for (const std::uint32_t s : prog.input_slots()) {
     if (s != CompiledProgram::kNoSlot) written[s] = 1;
   }
   for (const CompiledProgram::ConstInit& c : prog.const_inits()) {
     written[c.slot] = 1;
+    is_const[c.slot] = 1;
   }
   std::size_t seen = 0;
   for (std::size_t l = 0; l < prog.level_count(); ++l) {
     const std::span<const CompiledOp> level = prog.level_ops(l);
     // Ops inside one level must be independent: no op reads a slot written
     // by this level, so check reads against the pre-level state first.
+    std::vector<char> read_here(prog.slot_count(), 0);
     for (const CompiledOp& op : level) {
       const int arity = cell_arity(op.kind);
       for (int j = 0; j < arity; ++j) {
-        EXPECT_TRUE(written[op.in[static_cast<std::size_t>(j)]])
-            << "level " << l << " reads a slot not yet written";
+        const std::uint32_t s = op.in[static_cast<std::size_t>(j)];
+        EXPECT_TRUE(written[s]) << "level " << l << " reads a slot not yet "
+                                << "written";
+        read_here[s] = 1;
       }
     }
+    // Slots are reused, but only in a level after their value's last
+    // read, never twice within one level, and never over a constant.
+    std::vector<char> written_here(prog.slot_count(), 0);
     for (const CompiledOp& op : level) {
-      EXPECT_FALSE(written[op.out]) << "slot written twice";
+      EXPECT_FALSE(read_here[op.out]) << "level " << l << " rewrites a slot "
+                                      << "it reads";
+      EXPECT_FALSE(written_here[op.out]) << "level " << l << " writes a slot "
+                                         << "twice";
+      EXPECT_FALSE(is_const[op.out]) << "level " << l << " overwrites a "
+                                     << "constant";
+      written_here[op.out] = 1;
       written[op.out] = 1;
     }
     seen += level.size();
@@ -358,6 +373,161 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
   EXPECT_EQ(be2.run(corpus), first);
   EXPECT_EQ(be2.pool(), shared.get());
   EXPECT_EQ(ThreadPool::threads_started(), spawned2);
+}
+
+// run_flat (the blocked transposes plus reused slots) against the node walk
+// and the scalar and 64-lane executors, on shapes whose widths are not
+// multiples of 8, at round counts around every 8/64/256 boundary, on
+// arbitrary trits (metastable ones included), sharded over 4 threads and
+// level-sliced.
+TEST(Compile, RunFlatMatchesEveryBackendAcrossShapesAndRoundCounts) {
+  const struct {
+    const char* name;
+    ComparatorNetwork net;
+    std::size_t bits;
+  } shapes[] = {
+      {"2x1", optimal_2(), 1},
+      {"3x3", optimal_3(), 3},
+      {"10x16", size_optimal_10(), 16},
+      {"24x8 composed", composed_sort_network(24, true), 8},
+      {"32x16 ppc", ppc_sort_network(32, PpcTopology::ladner_fischer), 16},
+  };
+  constexpr std::size_t kRounds[] = {1, 7, 63, 64, 65, 255, 256, 257, 1024};
+  constexpr std::size_t kMaxRounds = 1024;
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const Netlist nl = elaborate_network(shape.net, shape.bits,
+                                         sort2_builder(), shape.name);
+    const std::size_t width = nl.inputs().size();
+    const std::size_t outs = nl.outputs().size();
+    Xoshiro256 rng(width);
+    std::vector<Trit> in(kMaxRounds * width);
+    for (Trit& t : in) t = trit_from_index(static_cast<int>(rng.below(3)));
+
+    // References for all kMaxRounds rounds: node walk, then the scalar
+    // and 64-lane executors checked against it.
+    std::vector<Trit> want(kMaxRounds * outs);
+    NodeWalkEvaluator walk(nl);
+    Word out;
+    for (std::size_t r = 0; r < kMaxRounds; ++r) {
+      walk.run_outputs(std::span<const Trit>(in).subspan(r * width, width),
+                       out);
+      for (std::size_t o = 0; o < outs; ++o) want[r * outs + o] = out[o];
+    }
+    const CompiledProgram prog = CompiledProgram::compile(nl);
+    CompiledExecutor<ScalarBackend> scalar(prog);
+    CompiledExecutor<Packed64Backend> packed64(prog);
+    std::vector<PackedTrit> lanes(width);
+    for (std::size_t base = 0; base < kMaxRounds; base += 64) {
+      for (std::size_t i = 0; i < width; ++i) {
+        for (int lane = 0; lane < 64; ++lane) {
+          lanes[i].set_lane(lane, in[(base + lane) * width + i]);
+        }
+      }
+      packed64.run(lanes);
+      for (int lane = 0; lane < 64; ++lane) {
+        const std::size_t r = base + static_cast<std::size_t>(lane);
+        scalar.run(std::span<const Trit>(in).subspan(r * width, width));
+        for (std::size_t o = 0; o < outs; ++o) {
+          ASSERT_EQ(scalar.output_lane(o, 0), want[r * outs + o])
+              << "scalar r=" << r << " o=" << o;
+          ASSERT_EQ(packed64.output_lane(o, lane), want[r * outs + o])
+              << "packed64 r=" << r << " o=" << o;
+        }
+      }
+    }
+
+    BatchOptions sharded;
+    sharded.threads = 4;
+    BatchOptions sliced = sharded;
+    sliced.level_parallel = true;
+    sliced.level_min_ops = 1;
+    for (const BatchOptions& opt : {sharded, sliced}) {
+      const BatchEvaluator batch(nl, opt);
+      for (const std::size_t rounds : kRounds) {
+        // One round of sentinels past the end catches stray writes.
+        std::vector<Trit> got((rounds + 1) * outs, Trit::meta);
+        batch.run_flat(std::span<const Trit>(in).first(rounds * width),
+                       std::span<Trit>(got).first(rounds * outs));
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          ASSERT_EQ(got[k], k < rounds * outs ? want[k] : Trit::meta)
+              << (opt.level_parallel ? "level-sliced" : "sharded")
+              << " rounds=" << rounds << " r=" << k / outs
+              << " o=" << k % outs;
+        }
+      }
+    }
+  }
+}
+
+// Constant slots are materialized once per executor and never handed to a
+// gate, so an executor reused for a second run must still see them: its
+// second run equals a fresh executor's run on the same inputs.
+TEST(Compile, ReusedExecutorKeepsConstantsAcrossRuns) {
+  Netlist nl("const_reuse");
+  constexpr int kInputs = 12;
+  std::vector<NodeId> x;
+  for (int i = 0; i < kInputs; ++i) {
+    x.push_back(nl.add_input("x" + std::to_string(i)));
+  }
+  const NodeId one = nl.constant(true);
+  const NodeId zero = nl.constant(false);
+  // Early levels free the input slots; the constants are read again in
+  // the last levels, after many slots have been reused.
+  std::vector<NodeId> v;
+  for (int i = 0; i < kInputs; ++i) v.push_back(nl.and2(x[i], one));
+  for (int level = 0; level < 4; ++level) {
+    std::vector<NodeId> next;
+    for (int i = 0; i < kInputs; ++i) {
+      next.push_back(nl.xor2(v[i], v[(i + 1) % kInputs]));
+    }
+    v = std::move(next);
+  }
+  for (int i = 0; i < kInputs; ++i) {
+    nl.mark_output(nl.mux2(nl.or2(v[i], zero), one, v[i]),
+                   "o" + std::to_string(i));
+    nl.mark_output(nl.nor2(v[i], zero), "n" + std::to_string(i));
+  }
+
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  ASSERT_EQ(prog.const_inits().size(), 2u);
+  ASSERT_LT(prog.slot_count(), static_cast<std::size_t>(
+                                   kInputs + 2 + prog.ops().size()))
+      << "the program must reuse slots for this test to mean anything";
+
+  Xoshiro256 rng(5);
+  const auto random_lanes = [&] {
+    std::vector<PackedTrit256> lanes(kInputs);
+    for (PackedTrit256& v : lanes) {
+      for (int lane = 0; lane < PackedTrit256::kLanes; ++lane) {
+        v.set_lane(lane, trit_from_index(static_cast<int>(rng.below(3))));
+      }
+    }
+    return lanes;
+  };
+  const std::vector<PackedTrit256> first = random_lanes();
+  const std::vector<PackedTrit256> second = random_lanes();
+
+  CompiledExecutor<Packed256Backend> reused(prog);
+  reused.run(first);
+  reused.run(second);
+  CompiledExecutor<Packed256Backend> fresh(prog);
+  fresh.run(second);
+  for (std::size_t o = 0; o < prog.output_count(); ++o) {
+    EXPECT_EQ(reused.output(o), fresh.output(o)) << "output " << o;
+  }
+  // And both agree with the node walk, lane by lane.
+  NodeWalkEvaluator walk(nl);
+  Word want;
+  std::vector<Trit> round(kInputs);
+  for (int lane = 0; lane < PackedTrit256::kLanes; ++lane) {
+    for (int i = 0; i < kInputs; ++i) round[i] = second[i].lane(lane);
+    walk.run_outputs(round, want);
+    for (std::size_t o = 0; o < prog.output_count(); ++o) {
+      ASSERT_EQ(reused.output_lane(o, lane), want[o])
+          << "lane " << lane << " output " << o;
+    }
+  }
 }
 
 TEST(Compile, SortValuesBatchRoundTrips) {

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <span>
+#include <vector>
+
 namespace mcsn {
 namespace {
 
@@ -81,6 +85,40 @@ TEST(Packed, MuxMatchesScalarOnAllCombos) {
   for (const auto& c : combos) {
     EXPECT_EQ(out.lane(lane), trit_mux(c[0], c[1], c[2])) << lane;
     ++lane;
+  }
+}
+
+// The blocked transposes against per-lane access, at widths and row
+// counts that are not multiples of the 8 x 8 blocks or of 64.
+TEST(Packed, PackAndUnpackLanesMatchPerLaneAccess) {
+  for (const std::size_t width : {1u, 3u, 8u, 9u, 17u}) {
+    for (const std::size_t rounds : {0u, 1u, 7u, 8u, 63u, 64u, 65u, 200u,
+                                     256u}) {
+      std::vector<Trit> rows(rounds * width);
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        rows[k] = kAllTrits[(k * 7 + k / 5) % 3];
+      }
+      std::vector<PackedTrit256> lanes(width, PackedTrit256::splat(Trit::meta));
+      pack_lanes<4>(rows, width, std::span<PackedTrit256>(lanes));
+      for (std::size_t c = 0; c < width; ++c) {
+        for (int r = 0; r < PackedTrit256::kLanes; ++r) {
+          const Trit want = static_cast<std::size_t>(r) < rounds
+                                ? rows[static_cast<std::size_t>(r) * width + c]
+                                : Trit::zero;
+          ASSERT_EQ(lanes[c].lane(r), want)
+              << "width " << width << " rounds " << rounds << " c " << c
+              << " r " << r;
+        }
+      }
+      // Unpack writes exactly the rows asked for.
+      std::vector<Trit> back(rows.size() + width, Trit::meta);
+      unpack_lanes<4>([&lanes](std::size_t c) { return lanes[c]; }, width,
+                      std::span<Trit>(back).first(rows.size()));
+      for (std::size_t k = 0; k < back.size(); ++k) {
+        ASSERT_EQ(back[k], k < rows.size() ? rows[k] : Trit::meta)
+            << "width " << width << " rounds " << rounds << " k " << k;
+      }
+    }
   }
 }
 

@@ -120,6 +120,29 @@ class VerifyIrMutation : public ::testing::Test {
     ASSERT_GE(clean_.level_offsets.size(), 3u);
   }
 
+  /// Makes the last op of the first level with two or more ops write the
+  /// slot that level's first op reads on pin 0.
+  static void reuse_in_reading_level(IrImage& m) {
+    for (std::size_t l = 0; l + 1 < m.level_offsets.size(); ++l) {
+      const std::size_t first = m.level_offsets[l];
+      const std::size_t last = m.level_offsets[l + 1] - 1;
+      if (last > first) {
+        m.ops[last].out = m.ops[first].in[0];
+        return;
+      }
+    }
+  }
+
+  /// Appends a last level whose one op overwrites output 0's slot.
+  static void rewrite_output(IrImage& m) {
+    CompiledOp op;
+    op.kind = CellKind::inv;
+    op.out = m.output_slots[0];
+    op.in = {m.output_slots[1], 0, 0};
+    m.ops.push_back(op);
+    m.level_offsets.push_back(m.ops.size());
+  }
+
   /// Asserts the mutated image fails verification and the diagnostic
   /// carries `token` — the class-specific tag, not just any error.
   void expect_rejected(const IrImage& mutated, const std::string& token) {
@@ -143,11 +166,36 @@ TEST_F(VerifyIrMutation, OperandFromSameLevelIsCaught) {
   expect_rejected(m, "operand-level");
 }
 
-TEST_F(VerifyIrMutation, DoubleWriteIsCaught) {
-  // Class: slot written twice.
+TEST_F(VerifyIrMutation, RewriteInTheReadingLevelIsCaught) {
+  // Class: early slot reuse. The last op of a level overwrites a slot the
+  // level's first op reads: fine in stream order, a race under
+  // level_ops() slicing.
+  IrImage m = clean_;
+  reuse_in_reading_level(m);
+  expect_rejected(m, "early-reuse");
+}
+
+TEST_F(VerifyIrMutation, SameLevelDoubleWriteIsCaught) {
+  // Class: early slot reuse — two ops of one level write one slot.
   IrImage m = clean_;
   m.ops[1].out = m.ops[0].out;
-  expect_rejected(m, "double-write");
+  expect_rejected(m, "early-reuse");
+}
+
+TEST_F(VerifyIrMutation, ConstSlotRewriteIsCaught) {
+  // Class: a constant's slot handed to an op. run() does not materialize
+  // constants again, so a reused executor would read the op's value.
+  IrImage m = clean_;
+  m.const_inits.push_back({m.ops[0].out, Trit::one});
+  expect_rejected(m, "const-rewrite");
+}
+
+TEST_F(VerifyIrMutation, OutputSlotRewriteIsCaught) {
+  // Class: an op in a new last level overwrites output 0, which nothing
+  // has read: the output is lost.
+  IrImage m = clean_;
+  rewrite_output(m);
+  expect_rejected(m, "output-rewrite");
 }
 
 TEST_F(VerifyIrMutation, DanglingReadIsCaught) {
@@ -160,9 +208,10 @@ TEST_F(VerifyIrMutation, DanglingReadIsCaught) {
 
 TEST_F(VerifyIrMutation, ReadBeforeWriteIsCaught) {
   // Class: operand order — the slot IS written, but later in the stream
-  // than the reader.
+  // than the reader. The highest slot is first handed out to a later op
+  // (inputs take the lowest slots, and op 0 the next one).
   IrImage m = clean_;
-  m.ops[0].in[0] = m.ops.back().out;
+  m.ops[0].in[0] = static_cast<std::uint32_t>(m.slot_count - 1);
   expect_rejected(m, "");  // any rejection...
   const Status s = verify_ir(m);
   // ...but specifically as an ordering/level violation, not a dangling read.
@@ -208,8 +257,8 @@ TEST_F(VerifyIrMutation, UnwrittenOutputIsCaught) {
 }
 
 TEST_F(VerifyIrMutation, DistinctDiagnosticsPerClass) {
-  // The acceptance bar: at least four invariant classes caught with four
-  // DIFFERENT diagnostics. Collect the tokens the suite above relies on.
+  // The acceptance bar: the invariant classes are caught with DIFFERENT
+  // diagnostics. Collect the tokens the suite above relies on.
   std::vector<std::string> tokens;
 
   IrImage wrong_level = clean_;
@@ -217,9 +266,17 @@ TEST_F(VerifyIrMutation, DistinctDiagnosticsPerClass) {
   wrong_level.ops[last].in[0] = wrong_level.ops[last - 1].out;
   tokens.push_back(verify_ir(wrong_level).message());
 
-  IrImage double_write = clean_;
-  double_write.ops[1].out = double_write.ops[0].out;
-  tokens.push_back(verify_ir(double_write).message());
+  IrImage reuse = clean_;
+  reuse_in_reading_level(reuse);
+  tokens.push_back(verify_ir(reuse).message());
+
+  IrImage const_rewrite = clean_;
+  const_rewrite.const_inits.push_back({const_rewrite.ops[0].out, Trit::one});
+  tokens.push_back(verify_ir(const_rewrite).message());
+
+  IrImage output_rewrite = clean_;
+  rewrite_output(output_rewrite);
+  tokens.push_back(verify_ir(output_rewrite).message());
 
   IrImage dangling = clean_;
   dangling.slot_count += 1;

@@ -133,8 +133,32 @@ int run_mutation_selftest() {
                              ir.slot_count + 7); }},
       {"corrupt level offsets", "level-structure",
        [](IrImage& ir) { ir.level_offsets.back() += 1; }},
-      {"double-written slot", "double-write",
-       [](IrImage& ir) { ir.ops[1].out = ir.ops[0].out; }},
+      {"slot rewritten in the level that reads it", "early-reuse",
+       [](IrImage& ir) {
+         // The last op of the first level with two or more ops writes the
+         // slot that level's first op reads: a race under level_ops().
+         for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
+           const std::size_t first = ir.level_offsets[l];
+           const std::size_t last = ir.level_offsets[l + 1] - 1;
+           if (last > first) {
+             ir.ops[last].out = ir.ops[first].in[0];
+             return;
+           }
+         }
+       }},
+      {"constant slot handed to an op", "const-rewrite",
+       [](IrImage& ir) {
+         ir.const_inits.push_back({ir.ops[0].out, Trit::one});
+       }},
+      {"unread output overwritten", "output-rewrite",
+       [](IrImage& ir) {
+         CompiledOp op;
+         op.kind = CellKind::inv;
+         op.out = ir.output_slots[0];
+         op.in = {ir.output_slots[1], 0, 0};
+         ir.ops.push_back(op);
+         ir.level_offsets.push_back(ir.ops.size());
+       }},
       {"dangling operand read", "dangling-read",
        [](IrImage& ir) {
          ir.slot_count += 1;  // a slot nobody writes
