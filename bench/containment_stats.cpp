@@ -35,12 +35,10 @@ int main() {
     Xoshiro256 rng(static_cast<std::uint64_t>(p * 1000));
     long in_bits = 0, mc_bits = 0, bin_bits = 0;
     bool contained = true;
-    std::vector<Word> batch;
+    std::vector<Trit> batch;  // rounds back to back, as run_flat takes them
     std::vector<int> marginal_ins;
-    batch.reserve(rounds);
     marginal_ins.reserve(rounds);
     for (int round = 0; round < rounds; ++round) {
-      Word in(0);
       int marginal_in = 0;
       for (int c = 0; c < channels; ++c) {
         const bool marginal = rng.uniform() < p;
@@ -49,19 +47,24 @@ int main() {
           rank |= 1;
           ++marginal_in;
         }
-        in = in + valid_from_rank(rank, bits);
+        const Word w = valid_from_rank(rank, bits);
+        batch.insert(batch.end(), w.begin(), w.end());
       }
       in_bits += marginal_in;
-      batch.push_back(std::move(in));
       marginal_ins.push_back(marginal_in);
     }
-    const std::vector<Word> mc_outs = mc_eval.run(batch);
-    const std::vector<Word> bin_outs = bin_eval.run(batch);
+    const std::size_t outs = mc_eval.output_width();
+    std::vector<Trit> mc_outs(rounds * outs);
+    std::vector<Trit> bin_outs(rounds * bin_eval.output_width());
+    mc_eval.run_flat(batch, mc_outs);
+    bin_eval.run_flat(batch, bin_outs);
     for (int round = 0; round < rounds; ++round) {
       const auto r = static_cast<std::size_t>(round);
       int mc_meta = 0, bin_meta = 0;
-      for (const Trit v : mc_outs[r]) mc_meta += is_meta(v) ? 1 : 0;
-      for (const Trit v : bin_outs[r]) bin_meta += is_meta(v) ? 1 : 0;
+      for (std::size_t o = r * outs; o < (r + 1) * outs; ++o) {
+        mc_meta += is_meta(mc_outs[o]) ? 1 : 0;
+        bin_meta += is_meta(bin_outs[o]) ? 1 : 0;
+      }
       mc_bits += mc_meta;
       bin_bits += bin_meta;
       if (mc_meta != marginal_ins[r]) contained = false;

@@ -1,7 +1,7 @@
 // E16 — streaming sort service under load: capacity and latency of the
-// micro-batching pipeline (serve/) versus naive per-request McSorter::sort
-// at equal thread count, plus an open-loop Poisson sweep across arrival
-// rates and flush windows. Emits machine-readable JSON:
+// micro-batching pipeline (serve/) versus naive per-request scalar netlist
+// evaluation at equal thread count, plus an open-loop Poisson sweep across
+// arrival rates and flush windows. Emits machine-readable JSON:
 //
 //   bench_serve_latency [--channels C] [--bits B] [--workers W]
 //                       [--requests N] [--rates r1,r2,...]   (req/s)
@@ -15,7 +15,8 @@
 // one-round frames through SocketServer; socket_batch: the same connection
 // carrying 256-round BATCH frames, amortizing header/syscall/completion
 // cost; uds: one-round frames over a UNIX-domain socket) — is hashed
-// against direct sort_batch outputs and the process fails on mismatch. The sweep phase is open-loop: arrivals are scheduled by an
+// against direct sort_batch_flat outputs and the process fails on
+// mismatch. The sweep phase is open-loop: arrivals are scheduled by an
 // exponential clock independent of completions, so queueing delay shows up
 // in p99 instead of being absorbed by a slow producer. The cold_vs_warm
 // series compares the first request of fresh services with and without a
@@ -34,11 +35,13 @@
 #include <iostream>
 #include <locale>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mcsn/netlist/eval.hpp"
 #include "mcsn/serve/net/client.hpp"
 #include "mcsn/serve/net/socket_server.hpp"
 #include "mcsn/serve/service.hpp"
@@ -52,12 +55,10 @@ namespace {
 using namespace mcsn;
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t fnv1a_round(std::uint64_t h, const std::vector<Word>& round) {
-  for (const Word& w : round) {
-    for (const Trit t : w) {
-      h ^= static_cast<std::uint64_t>(t) + 1;
-      h *= 0x100000001b3ULL;
-    }
+std::uint64_t fnv1a_flat(std::uint64_t h, std::span<const Trit> trits) {
+  for (const Trit t : trits) {
+    h ^= static_cast<std::uint64_t>(t) + 1;
+    h *= 0x100000001b3ULL;
   }
   return h;
 }
@@ -65,8 +66,18 @@ std::uint64_t fnv1a_round(std::uint64_t h, const std::vector<Word>& round) {
 /// Order-independent digest of a result set: XOR of standalone per-round
 /// hashes. Lets the thread-striped naive baseline be checked against the
 /// reference without caring how rounds were divided across threads.
-std::uint64_t round_digest(const std::vector<Word>& round) {
-  return fnv1a_round(0xcbf29ce484222325ULL, round);
+std::uint64_t round_digest(std::span<const Trit> round) {
+  return fnv1a_flat(0xcbf29ce484222325ULL, round);
+}
+
+/// The rounds back to back in one flat buffer, as sort_batch_flat takes
+/// them.
+std::vector<Trit> flatten(const std::vector<std::vector<Word>>& rounds) {
+  std::vector<Trit> flat;
+  for (const std::vector<Word>& round : rounds) {
+    for (const Word& w : round) flat.insert(flat.end(), w.begin(), w.end());
+  }
+  return flat;
 }
 
 std::vector<std::vector<Word>> make_rounds(std::size_t n, int channels,
@@ -103,9 +114,10 @@ std::vector<double> parse_list(const std::string& csv) {
   return out;
 }
 
-/// Naive baseline: `threads` threads, each with its own McSorter, calling
-/// sort() per round — every request pays a full scalar netlist evaluation.
-/// `digest` is the XOR of per-round result hashes (order-independent).
+/// Naive baseline: `threads` threads, each building its own McSorter and
+/// running a scalar Evaluator over its netlist once per round — every
+/// request pays a full scalar netlist evaluation. `digest` is the XOR of
+/// per-round result hashes (order-independent).
 double naive_vps(int threads, int channels, std::size_t bits,
                  const std::vector<std::vector<Word>>& rounds,
                  std::uint64_t& digest) {
@@ -114,11 +126,17 @@ double naive_vps(int threads, int channels, std::size_t bits,
   std::vector<std::thread> pool;
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      McSorter sorter(channels, bits);
+      const McSorter sorter(channels, bits);
+      Evaluator eval(sorter.netlist());
+      std::vector<Trit> in;
+      Word out;
       for (std::size_t i = static_cast<std::size_t>(t); i < rounds.size();
            i += static_cast<std::size_t>(threads)) {
+        in.clear();
+        for (const Word& w : rounds[i]) in.insert(in.end(), w.begin(), w.end());
+        eval.run_outputs(in, out);
         digests[static_cast<std::size_t>(t)] ^=
-            round_digest(sorter.sort(rounds[i]));
+            round_digest(std::span<const Trit>(out.begin(), out.end()));
       }
     });
   }
@@ -127,14 +145,6 @@ double naive_vps(int threads, int channels, std::size_t bits,
   digest = 0;
   for (const std::uint64_t h : digests) digest ^= h;
   return static_cast<double>(rounds.size()) / secs;
-}
-
-std::uint64_t fnv1a_flat(std::uint64_t h, std::span<const Trit> trits) {
-  for (const Trit t : trits) {
-    h ^= static_cast<std::uint64_t>(t) + 1;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 /// The zero-copy upper bound: one sort_batch_flat over the whole corpus in
@@ -148,12 +158,7 @@ double flat_batch_vps(int threads, int channels, std::size_t bits,
   McSorterOptions opt;
   opt.batch.threads = threads;
   const McSorter sorter(channels, bits, opt);
-  const std::size_t round_trits = sorter.shape().trits();
-  std::vector<Trit> in;
-  in.reserve(rounds.size() * round_trits);
-  for (const std::vector<Word>& round : rounds) {
-    for (const Word& w : round) in.insert(in.end(), w.begin(), w.end());
-  }
+  const std::vector<Trit> in = flatten(rounds);
   std::vector<Trit> out(in.size());
   const auto t0 = Clock::now();
   const Status status = sorter.sort_batch_flat(in, out);
@@ -356,14 +361,14 @@ double serve_vps(int workers, std::chrono::microseconds window,
   opt.workers = workers;
   opt.flush_window = window;
   SortService service(opt);
-  std::vector<std::future<std::vector<Word>>> futures;
+  std::vector<std::future<SortResponse>> futures;
   futures.reserve(rounds.size());
   const auto t0 = Clock::now();
   for (const std::vector<Word>& r : rounds) {
-    futures.push_back(service.submit(r));
+    futures.push_back(service.submit(*SortRequest::from_words(r)));
   }
   checksum = 0xcbf29ce484222325ULL;
-  for (auto& f : futures) checksum = fnv1a_round(checksum, f.get());
+  for (auto& f : futures) checksum = fnv1a_flat(checksum, f.get().payload);
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
   metrics = service.metrics();
   return static_cast<double>(rounds.size()) / secs;
@@ -516,13 +521,13 @@ SweepResult open_loop_point(int workers, double rate, long window_us,
   SortService service(opt);
   Xoshiro256 rng(seed);
 
-  std::vector<std::future<std::vector<Word>>> futures;
+  std::vector<std::future<SortResponse>> futures;
   futures.reserve(rounds.size());
   PoissonClock arrivals(rate, rng);
   for (const std::vector<Word>& r : rounds) {
     const auto scheduled = arrivals.next();
     if (scheduled > Clock::now()) std::this_thread::sleep_until(scheduled);
-    futures.push_back(service.submit(r));
+    futures.push_back(service.submit(*SortRequest::from_words(r)));
   }
   for (auto& f : futures) (void)f.get();
 
@@ -581,11 +586,20 @@ int main(int argc, char** argv) {
   // the serve path (results come back in submission order) and an
   // order-independent digest for the thread-striped naive baseline.
   const McSorter reference(channels, bits);
-  std::uint64_t expect_chain = 0xcbf29ce484222325ULL;
+  const std::vector<Trit> reference_in = flatten(rounds);
+  std::vector<Trit> reference_out(reference_in.size());
+  if (const Status s = reference.sort_batch_flat(reference_in, reference_out);
+      !s.ok()) {
+    std::cerr << "bench_serve_latency: reference: " << s.to_string() << "\n";
+    return 1;
+  }
+  const std::uint64_t expect_chain =
+      fnv1a_flat(0xcbf29ce484222325ULL, reference_out);
   std::uint64_t expect_digest = 0;
-  for (const std::vector<Word>& r : reference.sort_batch(rounds)) {
-    expect_chain = fnv1a_round(expect_chain, r);
-    expect_digest ^= round_digest(r);
+  const std::size_t round_trits = reference.shape().trits();
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    expect_digest ^= round_digest(std::span<const Trit>(reference_out)
+                                      .subspan(r * round_trits, round_trits));
   }
 
   std::uint64_t naive_sum = 0;

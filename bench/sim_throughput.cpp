@@ -8,14 +8,12 @@
 // be tracked across PRs:
 //
 //   bench_sim_throughput [--vectors N] [--bits B] [--channels C]
-//                        [--threads T]   (batch_compiled_mt / level_mt
-//                                         parallelism; 0 = hardware
-//                                         concurrency)
+//                        [--threads T]   (batch_compiled_mt parallelism;
+//                                         0 = hardware concurrency)
 //
-// batch_compiled_mt shards lane groups across the persistent pool
-// (across-vector); level_mt runs groups sequentially but slices each
-// evaluation's wide levels across the same pool (intra-vector) — the mode
-// that speeds up one huge netlist even at batch size 1.
+// batch_compiled and batch_compiled_mt time BatchEvaluator::run_flat over
+// the corpus laid out flat (the layout is built once, untimed);
+// batch_compiled_mt shards its lane groups across the persistent pool.
 //
 // Every engine runs the same input corpus and must produce the same output
 // checksum ("engines_agree": true) — a built-in differential smoke test.
@@ -45,8 +43,9 @@ struct EngineResult {
   }
 };
 
-std::uint64_t fnv1a_word(std::uint64_t h, const Word& w) {
-  for (const Trit t : w) {
+template <class Trits>
+std::uint64_t fnv1a(std::uint64_t h, const Trits& trits) {
+  for (const Trit t : trits) {
     h ^= static_cast<std::uint64_t>(t) + 1;
     h *= 0x100000001b3ULL;
   }
@@ -118,6 +117,11 @@ int main(int argc, char** argv) {
     }
     corpus.push_back(std::move(joined));
   }
+  std::vector<Trit> flat_corpus;
+  flat_corpus.reserve(n_vectors * prog.input_count());
+  for (const Word& w : corpus) {
+    flat_corpus.insert(flat_corpus.end(), w.begin(), w.end());
+  }
 
   std::vector<EngineResult> results;
 
@@ -129,7 +133,7 @@ int main(int argc, char** argv) {
     for (const Word& w : corpus) {
       in.assign(w.begin(), w.end());
       ev.run_outputs(in, out);
-      h = fnv1a_word(h, out);
+      h = fnv1a(h, out);
     }
     return h;
   }));
@@ -142,7 +146,7 @@ int main(int argc, char** argv) {
     for (const Word& w : corpus) {
       in.assign(w.begin(), w.end());
       ev.run_outputs(in, out);
-      h = fnv1a_word(h, out);
+      h = fnv1a(h, out);
     }
     return h;
   }));
@@ -167,47 +171,24 @@ int main(int argc, char** argv) {
         for (std::size_t o = 0; o < outs; ++o) {
           out[o] = exec.output_lane(o, lane);
         }
-        h = fnv1a_word(h, out);
+        h = fnv1a(h, out);
       }
     }
     return h;
   }));
 
-  results.push_back(run_engine("batch_compiled", n_vectors, [&] {
+  const auto batch_engine = [&](int threads) {
     BatchOptions o;
-    o.threads = 1;
+    o.threads = threads;
     const BatchEvaluator be(nl, o);
-    const std::vector<Word> outs = be.run(corpus);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Word& w : outs) h = fnv1a_word(h, w);
-    return h;
-  }));
-
-  results.push_back(run_engine("batch_compiled_mt", n_vectors, [&] {
-    BatchOptions o;
-    o.threads = mt_threads;
-    const BatchEvaluator be(nl, o);
-    const std::vector<Word> outs = be.run(corpus);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Word& w : outs) h = fnv1a_word(h, w);
-    return h;
-  }));
-
-  results.push_back(run_engine("level_mt", n_vectors, [&] {
-    // Intra-vector level slicing: groups run one at a time, each sliced
-    // across the pool per level. The low min_level_ops makes the slicing
-    // engage on this workload's levels so the parallel path is exercised
-    // (and checksum-checked) even on modest netlists.
-    BatchOptions o;
-    o.threads = mt_threads;
-    o.level_parallel = true;
-    o.level_min_ops = 64;
-    const BatchEvaluator be(nl, o);
-    const std::vector<Word> outs = be.run(corpus);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Word& w : outs) h = fnv1a_word(h, w);
-    return h;
-  }));
+    std::vector<Trit> outs(n_vectors * be.output_width());
+    be.run_flat(flat_corpus, outs);
+    return fnv1a(0xcbf29ce484222325ULL, outs);
+  };
+  results.push_back(
+      run_engine("batch_compiled", n_vectors, [&] { return batch_engine(1); }));
+  results.push_back(run_engine("batch_compiled_mt", n_vectors,
+                               [&] { return batch_engine(mt_threads); }));
 
   bool agree = true;
   for (const EngineResult& r : results) {

@@ -58,20 +58,29 @@ int main() {
   }
 
   // 6. Production-scale use: the McSorter facade sorts whole measurement
-  //    batches through the compiled 256-lane engine in one call.
-  McSorter sorter(10, kBits);  // 10 channels, 8 bits
-  std::vector<std::vector<std::uint64_t>> rounds;
-  for (std::uint64_t r = 0; r < 5; ++r) {
-    std::vector<std::uint64_t> round;
+  //    batches through the compiled 256-lane engine in one call. Five
+  //    Gray-encoded rounds travel as one flat batch request and come back
+  //    decoded to integers.
+  const McSorter sorter(10, kBits);  // 10 channels, 8 bits
+  constexpr std::size_t kRounds = 5;
+  std::vector<Trit> flat;
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
     for (std::uint64_t c = 0; c < 10; ++c) {
-      round.push_back((r * 37 + c * 91) % 200);
+      const Word w = gray_encode((r * 37 + c * 91) % 200, kBits);
+      flat.insert(flat.end(), w.begin(), w.end());
     }
-    rounds.push_back(round);
   }
-  const auto sorted = sorter.sort_values_batch(rounds);
-  std::cout << "\nBatch-sorted " << sorted.size()
-            << " ten-channel rounds; round 0:";
-  for (const std::uint64_t v : sorted[0]) std::cout << " " << v;
+  const StatusOr<std::vector<std::uint64_t>> sorted =
+      sorter
+          .sort_request(*SortRequest::own_batch(sorter.shape(), kRounds,
+                                                std::move(flat)))
+          .values();
+  if (!sorted.ok()) {
+    std::cerr << "batch sort failed: " << sorted.status().to_string() << "\n";
+    return 1;
+  }
+  std::cout << "\nBatch-sorted " << kRounds << " ten-channel rounds; round 0:";
+  for (std::size_t c = 0; c < 10; ++c) std::cout << " " << (*sorted)[c];
   std::cout << "\n";
 
   // 7. For streaming traffic there is SortService (micro-batching over

@@ -116,7 +116,8 @@ struct SortRequest {
   [[nodiscard]] static StatusOr<SortRequest> from_values(
       SortShape shape, std::span<const std::uint64_t> values);
 
-  /// Bridges the legacy vector-of-Words round (flattens once).
+  /// One round given as per-channel Words (flattens once). Rejects an
+  /// empty round, zero-width words and ragged rounds.
   [[nodiscard]] static StatusOr<SortRequest> from_words(
       const std::vector<Word>& round);
 

@@ -211,7 +211,6 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
 
 BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchOptions& opt)
     : prog_(CompiledProgram::compile(nl, opt.compile)),
-      opt_(opt),
       parallel_(opt.threads > 0
                     ? opt.threads
                     : (opt.pool
@@ -222,7 +221,6 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchOptions& opt)
 
 BatchEvaluator::BatchEvaluator(BatchEvaluator&& other) noexcept
     : prog_(std::move(other.prog_)),
-      opt_(std::move(other.opt_)),
       parallel_(other.parallel_) {
   std::lock_guard lock(other.pool_mu_);
   pool_ = std::move(other.pool_);
@@ -231,7 +229,6 @@ BatchEvaluator::BatchEvaluator(BatchEvaluator&& other) noexcept
 BatchEvaluator& BatchEvaluator::operator=(BatchEvaluator&& other) noexcept {
   if (this != &other) {
     prog_ = std::move(other.prog_);
-    opt_ = std::move(other.opt_);
     parallel_ = other.parallel_;
     std::scoped_lock lock(pool_mu_, other.pool_mu_);
     pool_ = std::move(other.pool_);
@@ -244,29 +241,11 @@ ThreadPool* BatchEvaluator::acquire_pool() const {
   if (!pool_ && parallel_ > 1) {
     // Lazily owned, created once and kept: construction cost (the only
     // thread spawns this evaluator ever performs) is paid on the first
-    // parallel run(), never per call.
+    // parallel run_flat(), never per call.
     pool_ = std::make_shared<ThreadPool>(
         static_cast<std::size_t>(parallel_ - 1));
   }
   return pool_.get();
-}
-
-std::vector<Word> BatchEvaluator::run(std::span<const Word> inputs) const {
-  const std::size_t width = prog_.input_count();
-  const std::size_t outs = prog_.output_count();
-  std::vector<Trit> flat;
-  flat.reserve(inputs.size() * width);
-  for (const Word& w : inputs) {
-    assert(w.size() == width);
-    flat.insert(flat.end(), w.begin(), w.end());
-  }
-  std::vector<Trit> out(inputs.size() * outs);
-  run_flat(flat, out);
-  std::vector<Word> results(inputs.size(), Word(outs));
-  for (std::size_t r = 0; r < inputs.size(); ++r) {
-    for (std::size_t o = 0; o < outs; ++o) results[r][o] = out[r * outs + o];
-  }
-  return results;
 }
 
 void BatchEvaluator::run_flat(std::span<const Trit> inputs,
@@ -282,37 +261,21 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
   if (n == 0) return;
   const std::size_t groups = (n + kLanes - 1) / kLanes;
 
-  // One lane group: transpose its rounds into lanes, evaluate, transpose
-  // the outputs back into their rows.
-  const auto run_group = [&](auto& exec, std::vector<Value>& packed,
-                             std::size_t g) {
-    const std::size_t base = g * kLanes;
-    const std::size_t active = std::min(kLanes, n - base);
-    pack_lanes<4>(inputs.subspan(base * width, active * width), width,
-                  std::span<Value>(packed));
-    exec.run(packed);
-    unpack_lanes<4>([&exec](std::size_t o) -> const Value& {
-                      return exec.output(o);
-                    },
-                    outs, outputs.subspan(base * outs, active * outs));
-  };
-
-  if (opt_.level_parallel) {
-    // Intra-vector mode: lane groups run sequentially; each evaluation is
-    // sliced across wide levels on the pool. Effective even at one group.
-    LevelParallelExecutor<Backend> exec(
-        prog_, parallel_ > 1 ? acquire_pool() : nullptr,
-        LevelParallelOptions{parallel_, opt_.level_min_ops});
-    std::vector<Value> packed(width);
-    for (std::size_t g = 0; g < groups; ++g) run_group(exec, packed, g);
-    return;
-  }
-
+  // One shard: every stride-th lane group, each transposed from its rows
+  // into lanes, evaluated, and its outputs transposed back into their rows.
   const auto shard = [&](std::size_t first_group, std::size_t stride) {
     CompiledExecutor<Backend> exec(prog_);
     std::vector<Value> packed(width);
     for (std::size_t g = first_group; g < groups; g += stride) {
-      run_group(exec, packed, g);
+      const std::size_t base = g * kLanes;
+      const std::size_t active = std::min(kLanes, n - base);
+      pack_lanes<4>(inputs.subspan(base * width, active * width), width,
+                    std::span<Value>(packed));
+      exec.run(packed);
+      unpack_lanes<4>([&exec](std::size_t o) -> const Value& {
+                        return exec.output(o);
+                      },
+                      outs, outputs.subspan(base * outs, active * outs));
     }
   };
 

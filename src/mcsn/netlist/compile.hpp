@@ -26,10 +26,7 @@
 // the 64-lane PackedTrit backend, and the 256-lane PackedTrit256 backend.
 // BatchEvaluator packs arbitrary numbers of input vectors into wide lane
 // groups and optionally shards groups across a persistent ThreadPool
-// (injected or lazily owned — never a std::thread spawn per run()).
-// LevelParallelExecutor exploits the other axis: all ops within one level
-// of the schedule are independent, so a single evaluation of a huge
-// netlist can be sliced level-by-level across the same pool.
+// (injected or lazily owned — never a std::thread spawn per run_flat()).
 
 #include <array>
 #include <cassert>
@@ -40,7 +37,6 @@
 #include <vector>
 
 #include "mcsn/core/packed.hpp"
-#include "mcsn/core/word.hpp"
 #include "mcsn/netlist/cell.hpp"
 #include "mcsn/netlist/netlist.hpp"
 #include "mcsn/util/thread_pool.hpp"
@@ -265,117 +261,8 @@ class CompiledExecutor {
     return *prog_;
   }
 
-  /// Re-points the executor at `prog` — for owners that hold the program and
-  /// an executor by value and need to fix the pointer up after a move. The
-  /// new program must have the same shape (slot layout) as the one the
-  /// executor was constructed with; slot contents carry over, so constants
-  /// stay materialized.
-  void rebind(const CompiledProgram& prog) noexcept {
-    assert(prog.slot_count() == slots_.size());
-    prog_ = &prog;
-  }
-
  private:
   const CompiledProgram* prog_;
-  std::vector<Value> slots_;
-};
-
-// --- Level-parallel execution -----------------------------------------------
-
-struct LevelParallelOptions {
-  /// Slices one level is split into: 0 = the pool's parallelism
-  /// (workers + caller), 1 = serial.
-  int tasks = 0;
-  /// Levels with fewer ops than this run serially on the calling thread —
-  /// the pool handoff costs more than it buys on narrow levels.
-  std::size_t min_level_ops = 512;
-};
-
-/// Executes a CompiledProgram with intra-vector parallelism: every level's
-/// ops are mutually independent (they read only earlier levels and write
-/// disjoint slots), so wide levels are sliced into contiguous chunks that
-/// run concurrently on a ThreadPool, with a barrier between levels. It
-/// parallelizes a single evaluation, even at batch size 1 — the axis
-/// BatchEvaluator's across-vector sharding cannot reach.
-///
-/// Requires a levelized program; with a null pool, tasks <= 1, or a
-/// non-levelized schedule it degrades to the plain serial replay.
-template <class Backend>
-class LevelParallelExecutor {
- public:
-  using Value = typename Backend::Value;
-
-  LevelParallelExecutor(const CompiledProgram& prog, ThreadPool* pool,
-                        const LevelParallelOptions& opt = {})
-      : prog_(&prog),
-        pool_(pool),
-        opt_(opt),
-        tasks_(pool == nullptr
-                   ? 1
-                   : (opt.tasks > 0 ? static_cast<std::size_t>(opt.tasks)
-                                    : pool->parallelism())),
-        slots_(prog.slot_count()) {
-    for (const CompiledProgram::ConstInit& c : prog_->const_inits()) {
-      slots_[c.slot] = Backend::splat(c.value);
-    }
-  }
-
-  /// Same contract as CompiledExecutor::run. Safe to call from one thread
-  /// at a time per executor; distinct executors over the same program can
-  /// share one pool concurrently.
-  std::span<const Value> run(std::span<const Value> inputs) {
-    const std::span<const std::uint32_t> in_slots = prog_->input_slots();
-    assert(inputs.size() == in_slots.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if (in_slots[i] != CompiledProgram::kNoSlot) {
-        slots_[in_slots[i]] = inputs[i];
-      }
-    }
-    Value* const s = slots_.data();
-    const auto eval_range = [s](std::span<const CompiledOp> ops) {
-      for (const CompiledOp& op : ops) {
-        s[op.out] =
-            Backend::eval(op.kind, s[op.in[0]], s[op.in[1]], s[op.in[2]]);
-      }
-    };
-    const std::size_t levels = prog_->level_count();
-    if (pool_ == nullptr || tasks_ <= 1 || levels == 0) {
-      eval_range(prog_->ops());
-      return slots_;
-    }
-    for (std::size_t l = 0; l < levels; ++l) {
-      const std::span<const CompiledOp> ops = prog_->level_ops(l);
-      if (ops.size() < opt_.min_level_ops) {
-        eval_range(ops);
-        continue;
-      }
-      const std::size_t n = std::min(tasks_, ops.size());
-      pool_->run_and_wait(n, [&](std::size_t t) {
-        eval_range(ops.subspan(ops.size() * t / n,
-                               ops.size() * (t + 1) / n - ops.size() * t / n));
-      });
-    }
-    return slots_;
-  }
-
-  [[nodiscard]] std::span<const Value> values() const noexcept {
-    return slots_;
-  }
-  [[nodiscard]] const Value& output(std::size_t o) const {
-    return slots_[prog_->output_slots()[o]];
-  }
-  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const {
-    return Backend::get_lane(output(o), lane);
-  }
-  [[nodiscard]] const CompiledProgram& program() const noexcept {
-    return *prog_;
-  }
-
- private:
-  const CompiledProgram* prog_;
-  ThreadPool* pool_;
-  LevelParallelOptions opt_;
-  std::size_t tasks_;
   std::vector<Value> slots_;
 };
 
@@ -383,30 +270,22 @@ class LevelParallelExecutor {
 
 struct BatchOptions {
   /// Parallelism target: 0 = auto (hardware concurrency), 1 = serial.
-  /// Across-vector mode shards 256-lane groups (capped by group count);
-  /// level_parallel mode slices each group's levels this many ways.
+  /// run_flat() shards 256-lane groups across this many threads (capped by
+  /// the group count).
   int threads = 0;
   /// Executor pool shared with other owners (e.g. one pool for a whole
   /// SortService). When null and the effective parallelism exceeds 1, the
-  /// evaluator lazily creates a private pool on first parallel run() and
-  /// keeps it — run() never constructs threads per call either way.
+  /// evaluator lazily creates a private pool on first parallel run_flat()
+  /// and keeps it — run_flat() never constructs threads per call either way.
   std::shared_ptr<ThreadPool> pool;
-  /// Intra-vector mode: instead of sharding lane groups across threads,
-  /// run groups sequentially and parallelize *inside* each evaluation by
-  /// slicing wide levels (LevelParallelExecutor). Aimed at huge netlists at
-  /// small batch sizes, where across-vector sharding has nothing to shard.
-  bool level_parallel = false;
-  /// Levels narrower than this stay serial in level_parallel mode.
-  std::size_t level_min_ops = 512;
   CompileOptions compile;
 };
 
 /// High-throughput evaluation of many input vectors: transposes them into
 /// 256-lane groups (pack_lanes), runs the compiled program per group, and
 /// transposes the outputs back (unpack_lanes), distributing work over a
-/// persistent ThreadPool when profitable
-/// (across lane groups by default, across level slices in level_parallel
-/// mode). Thread-safe: concurrent run() calls share the pool.
+/// persistent ThreadPool when profitable (one shard of lane groups per
+/// thread). Thread-safe: concurrent run_flat() calls share the pool.
 class BatchEvaluator {
  public:
   explicit BatchEvaluator(const Netlist& nl, const BatchOptions& opt = {});
@@ -427,27 +306,20 @@ class BatchEvaluator {
   /// Effective parallelism target (threads knob resolved against hardware).
   [[nodiscard]] int parallelism() const noexcept { return parallel_; }
 
-  /// The pool run() distributes onto, or nullptr while still serial (no
-  /// parallel run() happened yet and none was injected).
+  /// The pool run_flat() distributes onto, or nullptr while still serial
+  /// (no parallel run_flat() happened yet and none was injected).
   [[nodiscard]] const ThreadPool* pool() const noexcept {
     std::lock_guard lock(pool_mu_);
     return pool_.get();
   }
 
-  /// Each element of `inputs` is one input vector of width input_width().
-  /// Returns one output Word (width output_width()) per input vector, in
-  /// order. Copies the vectors into one flat buffer and calls run_flat().
-  [[nodiscard]] std::vector<Word> run(std::span<const Word> inputs) const;
-
-  /// Zero-copy variant: `inputs` holds N input vectors back to back
-  /// (N x input_width() trits, vector-major) and results are written into
-  /// `outputs` (N x output_width() trits) — no Word construction anywhere
-  /// on the path. Each 256-round group is transposed straight from the
-  /// flat input into lanes and back into the flat output, and a trailing
-  /// partial group is handled transparently. Preconditions (asserted):
-  /// inputs.size() divisible by input_width(), outputs sized to match.
-  /// Thread-safe like run(); parallel sharding and level_parallel mode
-  /// apply identically.
+  /// `inputs` holds N input vectors back to back (N x input_width() trits,
+  /// vector-major) and results are written into `outputs`
+  /// (N x output_width() trits). Each 256-round group is transposed
+  /// straight from the flat input into lanes and back into the flat
+  /// output, and a trailing partial group is handled transparently.
+  /// Preconditions (asserted): inputs.size() divisible by input_width(),
+  /// outputs sized to match. Thread-safe: concurrent calls share the pool.
   void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
 
  private:
@@ -455,10 +327,10 @@ class BatchEvaluator {
   [[nodiscard]] ThreadPool* acquire_pool() const;
 
   CompiledProgram prog_;
-  BatchOptions opt_;
   int parallel_ = 1;
-  // Lazily-created owned pool (when opt_.pool is null): guarded so that
-  // concurrent const run() calls race safely on first use.
+  // The injected pool, or the lazily-created owned one (when
+  // BatchOptions::pool is null): guarded so that concurrent const
+  // run_flat() calls race safely on first use.
   mutable std::mutex pool_mu_;
   mutable std::shared_ptr<ThreadPool> pool_;
 };

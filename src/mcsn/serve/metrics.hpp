@@ -29,7 +29,7 @@ struct MetricsSnapshot {
                                 ///< request, service stopped, queue closed)
   std::uint64_t failed = 0;     ///< requests completed with an error status
   std::uint64_t expired = 0;    ///< requests past deadline at flush time
-  std::uint64_t batches = 0;    ///< sort_batch executions
+  std::uint64_t batches = 0;    ///< sort_batch_flat executions
   std::uint64_t flush_full = 0;    ///< batches flushed on lane-full
   std::uint64_t flush_window = 0;  ///< batches flushed on window expiry
   std::uint64_t flush_drain = 0;   ///< batches flushed by stop()/drain

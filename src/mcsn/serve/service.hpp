@@ -18,9 +18,7 @@
 // service, and deadline-expired work all come back as a SortResponse with
 // the corresponding Status (the callback/future always completes exactly
 // once). A request with a deadline that passed before its batch flushed is
-// failed with kDeadlineExceeded instead of being sorted late. The legacy
-// vector<Word> signatures remain as thin wrappers with their historical
-// exception behavior.
+// failed with kDeadlineExceeded instead of being sorted late.
 //
 // Latency/throughput trade-off is one knob: flush_window. A shard flushes
 // the moment it fills max_lanes lanes (no added latency under load); a
@@ -43,7 +41,6 @@
 #include <vector>
 
 #include "mcsn/api/sort_api.hpp"
-#include "mcsn/core/word.hpp"
 #include "mcsn/serve/batcher.hpp"
 #include "mcsn/serve/metrics.hpp"
 #include "mcsn/serve/queue.hpp"
@@ -78,8 +75,6 @@ struct ServeOptions {
   ///   * sorter.batch.threads == 0  — engine stays serial inside a worker
   ///     (the workers knob is the service's parallelism unit by default).
   /// Total thread count is workers + pool size — never workers x threads.
-  /// sorter.batch.level_parallel rides the same pool for intra-vector
-  /// slicing of huge netlists.
   McSorterOptions sorter;
 
   /// Bound on compiled shapes kept resident in the sorter pool (0 =
@@ -129,8 +124,6 @@ class SortService {
   SortService(const SortService&) = delete;
   SortService& operator=(const SortService&) = delete;
 
-  // --- primary (SortRequest/SortResponse) API -------------------------------
-
   /// Submits one request; the future completes with a SortResponse whose
   /// Status reports validation failures (kInvalidArgument), shutdown
   /// (kUnavailable), expired deadlines (kDeadlineExceeded) or engine
@@ -143,25 +136,6 @@ class SortService {
   /// worker thread otherwise. Skips the promise/shared-state allocation of
   /// the futures path; the completion must not block the worker for long.
   void submit(SortRequest request, SortCompletion done);
-
-  // --- legacy wrappers ------------------------------------------------------
-
-  /// Submits one measurement round (channels = round.size() words of equal
-  /// width) and returns the future of its sorted result. Blocks while the
-  /// service is at max_inflight. Throws std::invalid_argument on a
-  /// malformed round and std::runtime_error after stop(); async failures
-  /// surface as exceptions on the future.
-  [[nodiscard]] std::future<std::vector<Word>> submit(std::vector<Word> round);
-
-  /// Synchronous convenience: submit + wait.
-  [[nodiscard]] std::vector<Word> sort(std::vector<Word> round);
-
-  /// Synchronous convenience over integers: Gray-encodes `values` at
-  /// `bits` wide, sorts, decodes. Throws std::invalid_argument for
-  /// malformed input — including bits > 64, which uint64_t values cannot
-  /// fill.
-  [[nodiscard]] std::vector<std::uint64_t> sort_values(
-      const std::vector<std::uint64_t>& values, std::size_t bits);
 
   /// Stops admission, flushes and executes everything pending (every
   /// future/callback completes), then joins the workers. Idempotent; the

@@ -1,9 +1,6 @@
 #include "mcsn/sorter.hpp"
 
-#include <cassert>
 #include <stdexcept>
-
-#include "mcsn/core/gray.hpp"
 
 namespace mcsn {
 
@@ -53,55 +50,9 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
       netlist_(elaborate_network(
           network_, bits,
           sort2_builder(effective_sort2(opt, built.sort2_topology)))),
-      batch_(netlist_, opt.batch),
-      exec_(batch_.program()) {}
-
-McSorter::McSorter(McSorter&& other) noexcept
-    : channels_(other.channels_),
-      bits_(other.bits_),
-      network_(std::move(other.network_)),
-      netlist_(std::move(other.netlist_)),
-      batch_(std::move(other.batch_)),
-      exec_(std::move(other.exec_)) {
-  // batch_ owns the compiled program; the moved executor still points at the
-  // old object's storage.
-  exec_.rebind(batch_.program());
-}
-
-McSorter& McSorter::operator=(McSorter&& other) noexcept {
-  if (this != &other) {
-    channels_ = other.channels_;
-    bits_ = other.bits_;
-    network_ = std::move(other.network_);
-    netlist_ = std::move(other.netlist_);
-    batch_ = std::move(other.batch_);
-    exec_ = std::move(other.exec_);
-    exec_.rebind(batch_.program());
-  }
-  return *this;
-}
+      batch_(netlist_, opt.batch) {}
 
 CircuitStats McSorter::stats() const { return compute_stats(netlist_); }
-
-std::vector<Word> McSorter::sort(const std::vector<Word>& values) {
-  assert(static_cast<int>(values.size()) == channels_);
-  std::vector<Trit> in;
-  in.reserve(static_cast<std::size_t>(channels_) * bits_);
-  for (const Word& w : values) {
-    assert(w.size() == bits_);
-    in.insert(in.end(), w.begin(), w.end());
-  }
-  exec_.run(in);
-  std::vector<Word> sorted(static_cast<std::size_t>(channels_));
-  for (std::size_t c = 0; c < sorted.size(); ++c) {
-    Word w(bits_);
-    for (std::size_t b = 0; b < bits_; ++b) {
-      w[b] = exec_.output_lane(c * bits_ + b, 0);
-    }
-    sorted[c] = std::move(w);
-  }
-  return sorted;
-}
 
 Status McSorter::sort_batch_flat(std::span<const Trit> in,
                                  std::span<Trit> out) const {
@@ -140,75 +91,6 @@ SortResponse McSorter::sort_request(const SortRequest& request) const {
   response.status = sort_batch_flat(request.payload, response.payload);
   if (!response.status.ok()) response.payload.clear();
   return response;
-}
-
-std::vector<std::uint64_t> McSorter::sort_values(
-    const std::vector<std::uint64_t>& values) {
-  if (bits_ > 64) {
-    throw std::invalid_argument(
-        "McSorter::sort_values: integer entry points require bits <= 64 "
-        "(values are uint64_t); sort raw trit words instead");
-  }
-  std::vector<Word> words;
-  words.reserve(values.size());
-  for (const std::uint64_t v : values) {
-    words.push_back(gray_encode(v, bits_));
-  }
-  const std::vector<Word> sorted = sort(words);
-  std::vector<std::uint64_t> out;
-  out.reserve(sorted.size());
-  for (const Word& w : sorted) out.push_back(gray_decode(w));
-  return out;
-}
-
-std::vector<std::vector<Word>> McSorter::sort_batch(
-    const std::vector<std::vector<Word>>& rounds) const {
-  const std::size_t round_trits = static_cast<std::size_t>(channels_) * bits_;
-  std::vector<Trit> flat(rounds.size() * round_trits);
-  std::size_t k = 0;
-  for (const std::vector<Word>& round : rounds) {
-    assert(static_cast<int>(round.size()) == channels_);
-    for (const Word& w : round) {
-      assert(w.size() == bits_);
-      for (const Trit t : w) flat[k++] = t;
-    }
-  }
-  std::vector<Trit> outs(flat.size());
-  batch_.run_flat(flat, outs);
-  std::vector<std::vector<Word>> sorted(rounds.size());
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    const Trit* const row = outs.data() + r * round_trits;
-    sorted[r].reserve(static_cast<std::size_t>(channels_));
-    for (std::size_t c = 0; c < static_cast<std::size_t>(channels_); ++c) {
-      Word w(bits_);
-      for (std::size_t b = 0; b < bits_; ++b) w[b] = row[c * bits_ + b];
-      sorted[r].push_back(std::move(w));
-    }
-  }
-  return sorted;
-}
-
-std::vector<std::vector<std::uint64_t>> McSorter::sort_values_batch(
-    const std::vector<std::vector<std::uint64_t>>& rounds) const {
-  if (bits_ > 64) {
-    throw std::invalid_argument(
-        "McSorter::sort_values_batch: integer entry points require bits <= "
-        "64 (values are uint64_t); sort raw trit words instead");
-  }
-  std::vector<std::vector<Word>> words(rounds.size());
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    words[r].reserve(rounds[r].size());
-    for (const std::uint64_t v : rounds[r]) {
-      words[r].push_back(gray_encode(v, bits_));
-    }
-  }
-  const std::vector<std::vector<Word>> sorted = sort_batch(words);
-  std::vector<std::vector<std::uint64_t>> out(sorted.size());
-  for (std::size_t r = 0; r < sorted.size(); ++r) {
-    out[r].reserve(sorted[r].size());
-    for (const Word& w : sorted[r]) out[r].push_back(gray_decode(w));
-  }
-  return out;
 }
 
 }  // namespace mcsn

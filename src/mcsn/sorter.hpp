@@ -2,11 +2,18 @@
 // High-level facade: an n-channel, B-bit metastability-containing sorter.
 //
 // Wraps network selection, elaboration, evaluation and containment
-// accounting behind a value-semantic class, so downstream users can sort
-// vectors of (possibly marginal) Gray code measurements in two lines:
+// accounting behind a movable class, so downstream users can sort rounds
+// of (possibly marginal) Gray code measurements in a few lines:
 //
 //   McSorter sorter(10, 8);                       // 10 channels, 8 bits
-//   std::vector<Word> sorted = sorter.sort(measurements);
+//   SortResponse rsp = sorter.sort_request(
+//       *SortRequest::from_values(sorter.shape(), values));
+//   std::vector<std::uint64_t> sorted = *rsp.values();
+//
+// Every member function is const and safe to call concurrently from
+// multiple threads: each call runs its own executor over the shared
+// compiled program. Single-vector scalar evaluation of netlist() is
+// available through Evaluator (netlist/eval.hpp).
 
 #include <span>
 #include <string>
@@ -37,7 +44,7 @@ struct McSorterOptions {
   /// programs on demand.
   int max_channels = 4096;
   Sort2Options sort2;
-  /// Batch engine knobs (thread sharding) used by sort_batch.
+  /// Batch engine knobs (thread sharding) used by sort_batch_flat.
   BatchOptions batch;
 };
 
@@ -57,13 +64,10 @@ class McSorter {
   McSorter(BuiltNetwork built, std::size_t bits,
            const McSorterOptions& opt = {});
 
-  // The executor holds a pointer into the owned compiled program, so copies
-  // are deleted; moves re-pin that pointer, letting pools and containers
-  // hold sorters by value.
-  McSorter(const McSorter&) = delete;
-  McSorter& operator=(const McSorter&) = delete;
-  McSorter(McSorter&& other) noexcept;
-  McSorter& operator=(McSorter&& other) noexcept;
+  // Move-only, like the BatchEvaluator it owns; pools and containers hold
+  // sorters by value.
+  McSorter(McSorter&&) noexcept = default;
+  McSorter& operator=(McSorter&&) noexcept = default;
 
   [[nodiscard]] int channels() const noexcept { return channels_; }
   [[nodiscard]] std::size_t bits() const noexcept { return bits_; }
@@ -79,16 +83,12 @@ class McSorter {
     return SortShape{channels_, bits_};
   }
 
-  // --- primary (flat, Status-based) API -------------------------------------
-
   /// Sorts N rounds given as one flat contiguous buffer: `in` holds
   /// N x channels() x bits() trits (round-major, channel-major within a
   /// round) and the sorted rounds are written to `out` in the same layout.
   /// This is the zero-copy path the compiled engine consumes directly — no
   /// per-round repacking. Returns kInvalidArgument (and writes nothing) if
   /// in.size() is not a multiple of the round size or out.size() differs.
-  ///
-  /// Const and safe to call concurrently from multiple threads.
   [[nodiscard]] Status sort_batch_flat(std::span<const Trit> in,
                                        std::span<Trit> out) const;
 
@@ -97,47 +97,12 @@ class McSorter {
   /// shape differs from this sorter's.
   [[nodiscard]] SortResponse sort_request(const SortRequest& request) const;
 
-  // --- legacy wrappers (thin shims over the flat path) ----------------------
-
-  /// Sorts `values` (each a B-bit valid string) through the gate-level
-  /// netlist with worst-case metastability semantics.
-  /// Precondition: values.size() == channels().
-  [[nodiscard]] std::vector<Word> sort(const std::vector<Word>& values);
-
-  /// Convenience: encodes integers as Gray codewords and sorts. Throws
-  /// std::invalid_argument when bits() > 64 (values are uint64_t; use the
-  /// trit-based API for wider words).
-  [[nodiscard]] std::vector<std::uint64_t> sort_values(
-      const std::vector<std::uint64_t>& values);
-
-  /// Sorts many measurement rounds in one pass through the compiled batch
-  /// engine (256-lane packing, optional thread sharding). Each round is a
-  /// vector of channels() B-bit words; results come back round-aligned.
-  /// Wrapper over sort_batch_flat: flattens once into a contiguous buffer,
-  /// then splits the flat results back into Words.
-  ///
-  /// Const and safe to call concurrently from multiple threads (each call
-  /// runs its own executor over the shared program); sort()/sort_values()
-  /// mutate the scalar executor and are not.
-  [[nodiscard]] std::vector<std::vector<Word>> sort_batch(
-      const std::vector<std::vector<Word>>& rounds) const;
-
-  /// Batch variant of sort_values: each round is a vector of channels()
-  /// integers, Gray-encoded/decoded transparently. Throws
-  /// std::invalid_argument when bits() > 64.
-  [[nodiscard]] std::vector<std::vector<std::uint64_t>> sort_values_batch(
-      const std::vector<std::vector<std::uint64_t>>& rounds) const;
-
  private:
   int channels_;
   std::size_t bits_;
   ComparatorNetwork network_;
   Netlist netlist_;
-  // One dense, dead-node-eliminated program serves both the per-round
-  // scalar path (exec_) and sort_batch (batch_ shares the same program
-  // object; order matters — exec_ points into batch_'s program).
   BatchEvaluator batch_;
-  CompiledExecutor<ScalarBackend> exec_;
 };
 
 }  // namespace mcsn

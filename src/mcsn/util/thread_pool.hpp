@@ -1,8 +1,8 @@
 #pragma once
-// Persistent worker pool for level- and lane-parallel evaluation.
+// Persistent worker pool for lane-parallel evaluation.
 //
 // Every threaded path in the library used to spawn fresh std::threads per
-// call (BatchEvaluator::run) or rely on ad-hoc per-owner thread sets; this
+// call (BatchEvaluator) or rely on ad-hoc per-owner thread sets; this
 // pool replaces all of that with one fixed worker set that is started once
 // and reused for the lifetime of its owner(s):
 //

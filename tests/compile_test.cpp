@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "mcsn/core/gray.hpp"
 #include "mcsn/core/valid.hpp"
 #include "mcsn/netlist/eval.hpp"
 #include "mcsn/nets/catalog.hpp"
@@ -30,6 +32,21 @@ Word random_ternary(Xoshiro256& rng, std::size_t width) {
     w[i] = trit_from_index(static_cast<int>(rng.below(3)));
   }
   return w;
+}
+
+// Input vectors laid back to back, as BatchEvaluator::run_flat takes them.
+std::vector<Trit> flatten(const std::vector<Word>& vectors) {
+  std::vector<Trit> flat;
+  for (const Word& w : vectors) flat.insert(flat.end(), w.begin(), w.end());
+  return flat;
+}
+
+// run_flat over `vectors`, returning the flat outputs.
+std::vector<Trit> run_flat(const BatchEvaluator& batch,
+                           const std::vector<Word>& vectors) {
+  std::vector<Trit> out(vectors.size() * batch.output_width());
+  batch.run_flat(flatten(vectors), out);
+  return out;
 }
 
 std::vector<Netlist> catalog_netlists(std::size_t bits) {
@@ -112,10 +129,13 @@ TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
       BatchOptions serial_opt;
       serial_opt.threads = 1;
       const BatchEvaluator batch(nl, serial_opt);
-      const std::vector<Word> got = batch.run(corpus);
-      ASSERT_EQ(got.size(), want.size());
+      const std::vector<Trit> got = run_flat(batch, corpus);
+      ASSERT_EQ(got.size(), kVectors * outs);
       for (int v = 0; v < kVectors; ++v) {
-        ASSERT_EQ(got[v], want[v]) << nl.name() << " batch v=" << v;
+        for (std::size_t o = 0; o < outs; ++o) {
+          ASSERT_EQ(got[v * outs + o], want[v][o])
+              << nl.name() << " batch v=" << v << " o=" << o;
+        }
       }
     }
   }
@@ -239,26 +259,33 @@ TEST(Compile, RetainAllNodesKeepsNodeIdIndexing) {
   }
 }
 
-// sort_batch must agree with per-round sort() for every batch size around
-// the 64- and 256-lane group boundaries (partial final groups included).
-TEST(Compile, SortBatchMatchesPerRoundSortAcrossLaneBoundaries) {
+// sort_batch_flat must agree with the node walk of the sorter's netlist
+// for every batch size around the 64- and 256-lane group boundaries
+// (partial final groups included).
+TEST(Compile, SortBatchFlatMatchesNodeWalkAcrossLaneBoundaries) {
   const std::size_t bits = 5;
   const int channels = 7;
-  McSorter sorter(channels, bits);
+  const McSorter sorter(channels, bits);
+  const std::size_t trits = sorter.shape().trits();
+  NodeWalkEvaluator walk(sorter.netlist());
   Xoshiro256 rng(99);
 
   for (const std::size_t rounds : {1u, 63u, 64u, 65u, 256u, 300u}) {
-    std::vector<std::vector<Word>> batch(rounds);
-    for (auto& round : batch) {
-      round.reserve(static_cast<std::size_t>(channels));
-      for (int c = 0; c < channels; ++c) {
-        round.push_back(valid_from_rank(rng.below(valid_count(bits)), bits));
-      }
+    std::vector<Trit> in;
+    for (std::size_t i = 0; i < rounds * channels; ++i) {
+      const Word w = valid_from_rank(rng.below(valid_count(bits)), bits);
+      in.insert(in.end(), w.begin(), w.end());
     }
-    const std::vector<std::vector<Word>> got = sorter.sort_batch(batch);
-    ASSERT_EQ(got.size(), rounds);
+    std::vector<Trit> got(in.size());
+    ASSERT_TRUE(sorter.sort_batch_flat(in, got).ok());
+    Word want;
     for (std::size_t r = 0; r < rounds; ++r) {
-      ASSERT_EQ(got[r], sorter.sort(batch[r])) << rounds << " rounds, r=" << r;
+      walk.run_outputs(std::span<const Trit>(in).subspan(r * trits, trits),
+                       want);
+      for (std::size_t k = 0; k < trits; ++k) {
+        ASSERT_EQ(got[r * trits + k], want[k])
+            << rounds << " rounds, r=" << r << " k=" << k;
+      }
     }
   }
 }
@@ -277,69 +304,10 @@ TEST(Compile, ThreadShardedBatchMatchesSerial) {
   sharded_opt.threads = 3;
   const BatchEvaluator serial(nl, serial_opt);
   const BatchEvaluator sharded(nl, sharded_opt);
-  EXPECT_EQ(serial.run(corpus), sharded.run(corpus));
+  EXPECT_EQ(run_flat(serial, corpus), run_flat(sharded, corpus));
 }
 
-// Intra-vector mode: slicing every level across a pool (min_level_ops = 1
-// forces a parallel slice on even the narrowest level) must be bit-identical
-// to the plain serial executor, packed lanes included.
-TEST(Compile, LevelParallelExecutorMatchesSerialOnCatalogNetworks) {
-  ThreadPool pool(3);
-  for (const Netlist& nl : catalog_netlists(4)) {
-    const std::size_t width = nl.inputs().size();
-    const std::size_t outs = nl.outputs().size();
-    const CompiledProgram prog = CompiledProgram::compile(nl);
-    ASSERT_GT(prog.level_count(), 0u);
-
-    Xoshiro256 rng(nl.node_count());
-    CompiledExecutor<Packed256Backend> serial(prog);
-    LevelParallelOptions opt;
-    opt.min_level_ops = 1;
-    LevelParallelExecutor<Packed256Backend> sliced(prog, &pool, opt);
-
-    std::vector<PackedTrit256> in(width);
-    for (int trial = 0; trial < 8; ++trial) {
-      for (std::size_t i = 0; i < width; ++i) {
-        for (int lane = 0; lane < PackedTrit256::kLanes; ++lane) {
-          in[i].set_lane(lane,
-                         trit_from_index(static_cast<int>(rng.below(3))));
-        }
-      }
-      serial.run(in);
-      sliced.run(in);
-      for (std::size_t o = 0; o < outs; ++o) {
-        for (int lane = 0; lane < PackedTrit256::kLanes; ++lane) {
-          ASSERT_EQ(sliced.output_lane(o, lane), serial.output_lane(o, lane))
-              << nl.name() << " trial=" << trial << " o=" << o
-              << " lane=" << lane;
-        }
-      }
-    }
-  }
-}
-
-// The intra-vector BatchEvaluator mode must agree with the serial engine on
-// a corpus spanning several lane groups plus a partial tail.
-TEST(Compile, LevelParallelBatchMatchesSerial) {
-  const Netlist nl =
-      elaborate_network(depth_optimal_10(), 6, sort2_builder(), "level_mt");
-  Xoshiro256 rng(77);
-  std::vector<Word> corpus;
-  for (int v = 0; v < 300; ++v) {
-    corpus.push_back(random_ternary(rng, nl.inputs().size()));
-  }
-  BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  BatchOptions level_opt;
-  level_opt.threads = 3;
-  level_opt.level_parallel = true;
-  level_opt.level_min_ops = 1;  // slice every level, however narrow
-  const BatchEvaluator serial(nl, serial_opt);
-  const BatchEvaluator sliced(nl, level_opt);
-  EXPECT_EQ(serial.run(corpus), sliced.run(corpus));
-}
-
-// The acceptance property of the pool rewire: run() never constructs a
+// The acceptance property of the pool rewire: run_flat() never constructs a
 // thread. The pool is built at most once (lazily or injected); repeated and
 // concurrent runs reuse it, observed through the process-wide spawn counter.
 TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
@@ -354,15 +322,15 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
   BatchOptions opt;
   opt.threads = 3;
   const BatchEvaluator be(nl, opt);
-  const std::vector<Word> first = be.run(corpus);  // spawns the lazy pool
+  const std::vector<Trit> first = run_flat(be, corpus);  // spawns the pool
   EXPECT_NE(be.pool(), nullptr);
 
   const std::uint64_t spawned = ThreadPool::threads_started();
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(be.run(corpus), first);
+    EXPECT_EQ(run_flat(be, corpus), first);
   }
   EXPECT_EQ(ThreadPool::threads_started(), spawned)
-      << "BatchEvaluator::run must not construct threads per call";
+      << "BatchEvaluator::run_flat must not construct threads per call";
 
   // Injected pool: shared across evaluators, and still zero spawns per run.
   const auto shared = std::make_shared<ThreadPool>(2);
@@ -370,7 +338,7 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
   inj.pool = shared;
   const BatchEvaluator be2(nl, inj);
   const std::uint64_t spawned2 = ThreadPool::threads_started();
-  EXPECT_EQ(be2.run(corpus), first);
+  EXPECT_EQ(run_flat(be2, corpus), first);
   EXPECT_EQ(be2.pool(), shared.get());
   EXPECT_EQ(ThreadPool::threads_started(), spawned2);
 }
@@ -378,8 +346,7 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
 // run_flat (the blocked transposes plus reused slots) against the node walk
 // and the scalar and 64-lane executors, on shapes whose widths are not
 // multiples of 8, at round counts around every 8/64/256 boundary, on
-// arbitrary trits (metastable ones included), sharded over 4 threads and
-// level-sliced.
+// arbitrary trits (metastable ones included), sharded over 4 threads.
 TEST(Compile, RunFlatMatchesEveryBackendAcrossShapesAndRoundCounts) {
   const struct {
     const char* name;
@@ -439,22 +406,15 @@ TEST(Compile, RunFlatMatchesEveryBackendAcrossShapesAndRoundCounts) {
 
     BatchOptions sharded;
     sharded.threads = 4;
-    BatchOptions sliced = sharded;
-    sliced.level_parallel = true;
-    sliced.level_min_ops = 1;
-    for (const BatchOptions& opt : {sharded, sliced}) {
-      const BatchEvaluator batch(nl, opt);
-      for (const std::size_t rounds : kRounds) {
-        // One round of sentinels past the end catches stray writes.
-        std::vector<Trit> got((rounds + 1) * outs, Trit::meta);
-        batch.run_flat(std::span<const Trit>(in).first(rounds * width),
-                       std::span<Trit>(got).first(rounds * outs));
-        for (std::size_t k = 0; k < got.size(); ++k) {
-          ASSERT_EQ(got[k], k < rounds * outs ? want[k] : Trit::meta)
-              << (opt.level_parallel ? "level-sliced" : "sharded")
-              << " rounds=" << rounds << " r=" << k / outs
-              << " o=" << k % outs;
-        }
+    const BatchEvaluator batch(nl, sharded);
+    for (const std::size_t rounds : kRounds) {
+      // One round of sentinels past the end catches stray writes.
+      std::vector<Trit> got((rounds + 1) * outs, Trit::meta);
+      batch.run_flat(std::span<const Trit>(in).first(rounds * width),
+                     std::span<Trit>(got).first(rounds * outs));
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k], k < rounds * outs ? want[k] : Trit::meta)
+            << "rounds=" << rounds << " r=" << k / outs << " o=" << k % outs;
       }
     }
   }
@@ -530,17 +490,31 @@ TEST(Compile, ReusedExecutorKeepsConstantsAcrossRuns) {
   }
 }
 
-TEST(Compile, SortValuesBatchRoundTrips) {
-  McSorter sorter(4, 6);
+// Integer rounds Gray-encoded into one batch request come back decoded by
+// values() as each round's ascending sort, round by round.
+TEST(Compile, ValueBatchRequestRoundTrips) {
+  const McSorter sorter(4, 6);
   const std::vector<std::vector<std::uint64_t>> rounds = {
       {9, 3, 60, 17}, {0, 63, 1, 62}, {5, 5, 5, 5}};
-  const auto got = sorter.sort_values_batch(rounds);
-  ASSERT_EQ(got.size(), rounds.size());
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    EXPECT_EQ(got[r], sorter.sort_values(rounds[r]));
-    for (std::size_t c = 1; c < got[r].size(); ++c) {
-      EXPECT_LE(got[r][c - 1], got[r][c]);  // ascending, like sort_values
+  std::vector<Trit> flat;
+  for (const std::vector<std::uint64_t>& round : rounds) {
+    for (const std::uint64_t v : round) {
+      const Word w = gray_encode(v, 6);
+      flat.insert(flat.end(), w.begin(), w.end());
     }
+  }
+  const StatusOr<std::vector<std::uint64_t>> got =
+      sorter
+          .sort_request(*SortRequest::own_batch(sorter.shape(), rounds.size(),
+                                                std::move(flat)))
+          .values();
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  ASSERT_EQ(got->size(), rounds.size() * 4);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    std::vector<std::uint64_t> want = rounds[r];
+    std::sort(want.begin(), want.end());
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got->begin() + r * 4))
+        << "round " << r;
   }
 }
 

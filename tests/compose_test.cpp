@@ -181,7 +181,7 @@ TEST(Compose, ComparatorDifferentialAgainstStdSortTo32) {
 // Random measurement ranks — spanning fully-valid codewords and the
 // marginal (metastability-containing) strings between them — sorted by the
 // elaborated, compiled engine and checked against rank order.
-void check_sorter_differential(McSorter& sorter, std::uint64_t seed,
+void check_sorter_differential(const McSorter& sorter, std::uint64_t seed,
                                int rounds) {
   const int n = sorter.channels();
   const std::size_t bits = sorter.bits();
@@ -196,7 +196,10 @@ void check_sorter_differential(McSorter& sorter, std::uint64_t seed,
       ranks.push_back(r);
       in.push_back(valid_from_rank(r, bits));
     }
-    const std::vector<Word> out = sorter.sort(in);
+    const SortResponse rsp =
+        sorter.sort_request(*SortRequest::from_words(in));
+    ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
+    const std::vector<Word> out = rsp.words();
     std::sort(ranks.begin(), ranks.end());
     for (int c = 0; c < n; ++c) {
       ASSERT_EQ(out[static_cast<std::size_t>(c)],

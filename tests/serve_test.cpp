@@ -43,6 +43,34 @@ std::vector<Word> random_round(Xoshiro256& rng, int channels,
   return random_valid_round(rng, channels, bits);
 }
 
+// A well-formed round as a single-round request.
+SortRequest request_of(const std::vector<Word>& round) {
+  return std::move(SortRequest::from_words(round).value());
+}
+
+// Reference results: all `rounds` (one shape) sorted by one
+// McSorter::sort_batch_flat call on a serial sorter — so it spawns no
+// threads — split into one flat sorted round per input round.
+std::vector<std::vector<Trit>> reference_sort(
+    const std::vector<std::vector<Word>>& rounds) {
+  McSorterOptions serial;
+  serial.batch.threads = 1;
+  const McSorter sorter(static_cast<int>(rounds.front().size()),
+                        rounds.front().front().size(), serial);
+  std::vector<Trit> flat;
+  for (const std::vector<Word>& round : rounds) {
+    for (const Word& w : round) flat.insert(flat.end(), w.begin(), w.end());
+  }
+  std::vector<Trit> out(flat.size());
+  EXPECT_TRUE(sorter.sort_batch_flat(flat, out).ok());
+  const std::size_t trits = sorter.shape().trits();
+  std::vector<std::vector<Trit>> sorted;
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    sorted.emplace_back(out.begin() + r * trits, out.begin() + (r + 1) * trits);
+  }
+  return sorted;
+}
+
 PendingSort make_pending(Xoshiro256& rng, int channels, std::size_t bits,
                          Clock::time_point enqueued) {
   PendingSort pending;
@@ -405,21 +433,18 @@ TEST(SortService, BatchingEquivalentToDirectSortBatch) {
   opt.flush_window = 500us;
   SortService service(opt);
 
-  std::vector<std::vector<std::future<std::vector<Word>>>> futures(
-      shapes.size());
+  std::vector<std::vector<std::future<SortResponse>>> futures(shapes.size());
   for (std::size_t s = 0; s < shapes.size(); ++s) {
     futures[s].resize(shapes[s].count);
   }
   for (const auto& [s, i] : order) {
-    futures[s][i] = service.submit(rounds[s][i]);
+    futures[s][i] = service.submit(request_of(rounds[s][i]));
   }
 
   for (std::size_t s = 0; s < shapes.size(); ++s) {
-    const McSorter reference(shapes[s].channels, shapes[s].bits);
-    const std::vector<std::vector<Word>> expect =
-        reference.sort_batch(rounds[s]);
+    const std::vector<std::vector<Trit>> expect = reference_sort(rounds[s]);
     for (std::size_t i = 0; i < shapes[s].count; ++i) {
-      ASSERT_EQ(futures[s][i].get(), expect[i])
+      ASSERT_EQ(futures[s][i].get().payload, expect[i])
           << "shape " << shapes[s].channels << "x" << shapes[s].bits
           << " request " << i;
     }
@@ -453,7 +478,11 @@ TEST(SortService, ConcurrentProducersStaySorted) {
         for (int c = 0; c < 6; ++c) vals.push_back(rng.below(32));
         std::vector<std::uint64_t> expect = vals;
         std::sort(expect.begin(), expect.end());
-        if (service.sort_values(vals, 5) != expect) ++failures[p];
+        const StatusOr<std::vector<std::uint64_t>> got =
+            service.submit(*SortRequest::from_values(SortShape{6, 5}, vals))
+                .get()
+                .values();
+        if (!got.ok() || *got != expect) ++failures[p];
       }
     });
   }
@@ -472,25 +501,25 @@ TEST(SortService, StopDrainsEveryPendingFuture) {
   SortService service(opt);
 
   Xoshiro256 rng(9);
-  std::vector<std::future<std::vector<Word>>> futures;
+  std::vector<std::future<SortResponse>> futures;
   std::vector<std::vector<Word>> sent;
   for (int i = 0; i < 40; ++i) {  // partial group: stays pending in batcher
     sent.push_back(random_round(rng, 4, 4));
-    futures.push_back(service.submit(sent.back()));
+    futures.push_back(service.submit(request_of(sent.back())));
   }
   service.stop();
 
-  const McSorter reference(4, 4);
-  const auto expect = reference.sort_batch(sent);
+  const std::vector<std::vector<Trit>> expect = reference_sort(sent);
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), expect[i]);  // fulfilled by the drain
+    EXPECT_EQ(futures[i].get().payload, expect[i]);  // fulfilled by the drain
   }
   const MetricsSnapshot m = service.metrics();
   EXPECT_EQ(m.flush_drain, 1u);
   EXPECT_EQ(m.completed, 40u);
 
-  EXPECT_THROW((void)service.submit(random_round(rng, 4, 4)),
-               std::runtime_error);
+  EXPECT_EQ(service.submit(request_of(random_round(rng, 4, 4))).get().status
+                .code(),
+            StatusCode::kUnavailable);
   EXPECT_EQ(service.metrics().rejected, 1u);
   service.stop();  // idempotent
 }
@@ -512,9 +541,11 @@ TEST(SortService, RefusedReadyPushFailsGroupInsteadOfDroppingIt) {
   // Well past max_inflight: only possible if each refused group releases
   // its inflight slots. Every future must carry the failure, not hang.
   for (int i = 0; i < 8; ++i) {
-    std::future<std::vector<Word>> f = service.submit(random_round(rng, 4, 4));
+    std::future<SortResponse> f =
+        service.submit(request_of(random_round(rng, 4, 4)));
     ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "request " << i;
-    EXPECT_THROW((void)f.get(), std::runtime_error) << "request " << i;
+    EXPECT_EQ(f.get().status.code(), StatusCode::kUnavailable)
+        << "request " << i;
   }
 
   const MetricsSnapshot m = service.metrics();
@@ -526,7 +557,7 @@ TEST(SortService, RefusedReadyPushFailsGroupInsteadOfDroppingIt) {
 
 // The engine pool knob: batch.threads > 1 creates ONE pool shared by every
 // worker and shape (never workers x threads), and serving results stay
-// bit-identical to direct sort_batch.
+// bit-identical to direct sort_batch_flat.
 TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
   ServeOptions opt;
   opt.workers = 2;
@@ -548,19 +579,17 @@ TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
   };
   for (const Shape s : {Shape{4, 4}, Shape{6, 3}}) {
     std::vector<std::vector<Word>> rounds;
-    std::vector<std::future<std::vector<Word>>> futures;
+    std::vector<std::future<SortResponse>> futures;
     for (int i = 0; i < 600; ++i) {  // > 512: at least one sharded flush
       rounds.push_back(random_round(rng, s.channels, s.bits));
-      futures.push_back(service.submit(rounds.back()));
+      futures.push_back(service.submit(request_of(rounds.back())));
     }
-    // Explicitly serial reference: default auto-threads would lazily spawn
-    // a pool of its own on multi-core hosts and trip the spawn assertion.
-    McSorterOptions serial;
-    serial.batch.threads = 1;
-    const McSorter reference(s.channels, s.bits, serial);
-    const auto expect = reference.sort_batch(rounds);
+    // reference_sort is explicitly serial: default auto-threads would
+    // lazily spawn a pool of its own on multi-core hosts and trip the
+    // spawn assertion.
+    const std::vector<std::vector<Trit>> expect = reference_sort(rounds);
     for (std::size_t i = 0; i < futures.size(); ++i) {
-      ASSERT_EQ(futures[i].get(), expect[i])
+      ASSERT_EQ(futures[i].get().payload, expect[i])
           << s.channels << "x" << s.bits << " request " << i;
     }
   }
@@ -602,20 +631,29 @@ TEST(SortService, MetricsJsonIsLocaleIndependent) {
 }
 
 TEST(SortService, RejectsMalformedRounds) {
+  // Empty rounds, zero-width words and ragged rounds never become requests.
+  EXPECT_EQ(SortRequest::from_words({}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SortRequest::from_words({Word(0), Word(0)}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SortRequest::from_words({Word(4), Word(3)}).status().code(),
+            StatusCode::kInvalidArgument);
+  // A hand-built request of zero-width words is refused by the service.
   SortService service;
-  EXPECT_THROW((void)service.submit(std::vector<Word>{}),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.submit(std::vector<Word>{Word(0), Word(0)}),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.submit(std::vector<Word>{Word(4), Word(3)}),
-               std::invalid_argument);
+  SortRequest zero_width;
+  zero_width.shape = SortShape{2, 0};
+  EXPECT_EQ(service.submit(std::move(zero_width)).get().status.code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SortService, MetricsJsonHasTheAdvertisedFields) {
   ServeOptions opt;
   opt.flush_window = 100us;
   SortService service(opt);
-  (void)service.sort_values({3, 1, 2, 0}, 4);
+  (void)service
+      .submit(*SortRequest::from_values(
+          SortShape{4, 4}, std::vector<std::uint64_t>{3, 1, 2, 0}))
+      .get();
   const std::string json = service.metrics_json();
   for (const char* key :
        {"\"submitted\"", "\"completed\"", "\"batches\"", "\"flush\"",
@@ -628,9 +666,9 @@ TEST(SortService, MetricsJsonHasTheAdvertisedFields) {
 // --- SortRequest/SortResponse API --------------------------------------------
 
 // Differential parity: SortRequest submission (futures and callbacks,
-// owned and zero-copy-view payloads) is checksum-identical to the legacy
-// sort_batch path on the same rounds.
-TEST(SortService, RequestApiMatchesDirectSortBatch) {
+// owned and zero-copy-view payloads) is checksum-identical to direct
+// sort_batch_flat on the same rounds.
+TEST(SortService, RequestApiMatchesDirectSortBatchFlat) {
   constexpr int kChannels = 4;
   constexpr std::size_t kBits = 4;
   constexpr std::size_t kRounds = 300;  // full lane group + partial
@@ -643,8 +681,7 @@ TEST(SortService, RequestApiMatchesDirectSortBatch) {
       flats[i].insert(flats[i].end(), w.begin(), w.end());
     }
   }
-  const McSorter reference(kChannels, kBits);
-  const std::vector<std::vector<Word>> expect = reference.sort_batch(rounds);
+  const std::vector<std::vector<Trit>> expect = reference_sort(rounds);
 
   // Futures path over zero-copy views (flats outlive the completions),
   // interleaved with the callback path writing into preassigned slots.
@@ -674,14 +711,14 @@ TEST(SortService, RequestApiMatchesDirectSortBatch) {
   for (std::size_t i = 0; i < kRounds; i += 2) {
     const SortResponse rsp = futures[i].get();
     ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
-    ASSERT_EQ(rsp.words(), expect[i]) << "request " << i;
+    ASSERT_EQ(rsp.payload, expect[i]) << "request " << i;
     EXPECT_GT(rsp.latency.count(), 0);
   }
   service.stop();  // all callbacks have run once stop() returns
   EXPECT_EQ(callbacks_done.load(), kRounds / 2);
   for (std::size_t i = 1; i < kRounds; i += 2) {
     ASSERT_TRUE(callback_slots[i].status.ok());
-    ASSERT_EQ(callback_slots[i].words(), expect[i]) << "callback " << i;
+    ASSERT_EQ(callback_slots[i].payload, expect[i]) << "callback " << i;
   }
   const MetricsSnapshot m = service.metrics();
   EXPECT_EQ(m.submitted, kRounds);
@@ -739,8 +776,7 @@ TEST(SortService, DeadlineExpiredRequestsFailAtFlushTime) {
 
   const SortResponse r_fresh = f_fresh.get();
   ASSERT_TRUE(r_fresh.status.ok()) << r_fresh.status.to_string();
-  const McSorter reference(4, 4);
-  EXPECT_EQ(r_fresh.words(), reference.sort_batch({round_b})[0]);
+  EXPECT_EQ(r_fresh.payload, reference_sort({round_b})[0]);
 
   const MetricsSnapshot m = service.metrics();
   EXPECT_EQ(m.submitted, 2u);
@@ -749,14 +785,22 @@ TEST(SortService, DeadlineExpiredRequestsFailAtFlushTime) {
   EXPECT_EQ(m.failed, 0u);
 }
 
-// Satellite regression: integer-valued service entry points must reject
-// bits > 64 loudly — uint64_t values cannot fill wider words.
-TEST(SortService, SortValuesRejectsBitsOver64) {
+// Regression: integer-valued requests must reject bits > 64 loudly —
+// uint64_t values cannot fill wider words — and a served 65-bit trit round
+// has no integer form.
+TEST(SortService, ValueRequestsRejectBitsOver64) {
+  const std::vector<std::uint64_t> values{3, 1, 2, 0};
+  EXPECT_EQ(SortRequest::from_values(SortShape{4, 65}, values).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SortRequest::from_values(SortShape{4, 0}, values).status().code(),
+            StatusCode::kInvalidArgument);
   SortService service;
-  EXPECT_THROW((void)service.sort_values({3, 1, 2, 0}, 65),
-               std::invalid_argument);
-  EXPECT_THROW((void)service.sort_values({3, 1, 2, 0}, 0),
-               std::invalid_argument);
+  const SortResponse wide_trits =
+      service
+          .submit(request_of({Word(65, Trit::one), Word(65, Trit::zero)}))
+          .get();
+  ASSERT_TRUE(wide_trits.status.ok()) << wide_trits.status.to_string();
+  EXPECT_EQ(wide_trits.values().status().code(), StatusCode::kInvalidArgument);
   // bits = 64 stays legal at the validation layer (the values all fit).
   const StatusOr<SortRequest> wide =
       SortRequest::from_values(SortShape{2, 64}, std::vector<std::uint64_t>{
@@ -798,9 +842,9 @@ TEST(SortService, BackpressureBoundsInflight) {
   // Far more submissions than max_inflight: the bound forces submit() to
   // block and the service to keep up, rather than queueing unboundedly.
   Xoshiro256 rng(21);
-  std::vector<std::future<std::vector<Word>>> futures;
+  std::vector<std::future<SortResponse>> futures;
   for (int i = 0; i < 200; ++i) {
-    futures.push_back(service.submit(random_round(rng, 4, 4)));
+    futures.push_back(service.submit(request_of(random_round(rng, 4, 4))));
   }
   for (auto& f : futures) (void)f.get();
   EXPECT_EQ(service.metrics().completed, 200u);

@@ -79,7 +79,6 @@
 #include <thread>
 #include <vector>
 
-#include "mcsn/core/gray.hpp"
 #include "mcsn/serve/net/socket_server.hpp"
 #include "mcsn/serve/service.hpp"
 #include "mcsn/serve/wire.hpp"
@@ -144,35 +143,54 @@ class StatsDumper {
   std::thread thread_;
 };
 
-int run_stdin(SortService& service, std::size_t bits) {
-  const std::uint64_t limit = std::uint64_t{1} << bits;
-  std::vector<std::future<std::vector<Word>>> futures;
+/// Parses stdin as one integer round per line (blank lines skipped) and
+/// hands each to `on_round` as a value SortRequest of `bits`-wide channels.
+/// Returns 2 after naming the first line that is not an integer round or
+/// that SortRequest::from_values rejects (e.g. a value wider than `bits`),
+/// else 0.
+template <class OnRound>
+int read_value_rounds(std::size_t bits, OnRound on_round) {
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(std::cin, line)) {
     ++lineno;
     std::istringstream ss(line);
-    std::vector<Word> round;
+    std::vector<std::uint64_t> values;
     std::uint64_t v = 0;
-    while (ss >> v) {
-      if (v >= limit) {
-        std::cerr << "sortd: line " << lineno << ": value " << v
-                  << " needs more than " << bits << " bits\n";
-        return 2;
-      }
-      round.push_back(gray_encode(v, bits));
-    }
+    while (ss >> v) values.push_back(v);
     if (!ss.eof()) {
       std::cerr << "sortd: line " << lineno << ": not an integer round\n";
       return 2;
     }
-    if (round.empty()) continue;
-    futures.push_back(service.submit(std::move(round)));
+    if (values.empty()) continue;
+    StatusOr<SortRequest> request = SortRequest::from_values(
+        SortShape{static_cast<int>(values.size()), bits}, values);
+    if (!request.ok()) {
+      std::cerr << "sortd: line " << lineno << ": "
+                << request.status().to_string() << "\n";
+      return 2;
+    }
+    on_round(std::move(*request));
+  }
+  return 0;
+}
+
+int run_stdin(SortService& service, std::size_t bits) {
+  std::vector<std::future<SortResponse>> futures;
+  if (const int rc = read_value_rounds(bits, [&](SortRequest request) {
+        futures.push_back(service.submit(std::move(request)));
+      });
+      rc != 0) {
+    return rc;
   }
   for (auto& f : futures) {
-    const std::vector<Word> sorted = f.get();
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      std::cout << (i ? " " : "") << gray_decode(sorted[i]);
+    const StatusOr<std::vector<std::uint64_t>> sorted = f.get().values();
+    if (!sorted.ok()) {
+      std::cerr << "sortd: " << sorted.status().to_string() << "\n";
+      return 1;
+    }
+    for (std::size_t i = 0; i < sorted->size(); ++i) {
+      std::cout << (i ? " " : "") << (*sorted)[i];
     }
     std::cout << "\n";
   }
@@ -229,35 +247,11 @@ int run_framed(SortService& service) {
 }
 
 int run_encode_frames(std::size_t bits) {
-  const std::uint64_t limit = std::uint64_t{1} << bits;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(std::cin, line)) {
-    ++lineno;
-    std::istringstream ss(line);
-    std::vector<std::uint64_t> values;
-    std::uint64_t v = 0;
-    while (ss >> v) {
-      if (v >= limit) {
-        std::cerr << "sortd: line " << lineno << ": value " << v
-                  << " needs more than " << bits << " bits\n";
-        return 2;
-      }
-      values.push_back(v);
-    }
-    if (!ss.eof()) {
-      std::cerr << "sortd: line " << lineno << ": not an integer round\n";
-      return 2;
-    }
-    if (values.empty()) continue;
-    StatusOr<SortRequest> request = SortRequest::from_values(
-        SortShape{static_cast<int>(values.size()), bits}, values);
-    if (!request.ok()) {
-      std::cerr << "sortd: line " << lineno << ": "
-                << request.status().to_string() << "\n";
-      return 2;
-    }
-    wire::write_frame(std::cout, wire::encode_request(*request));
+  if (const int rc = read_value_rounds(bits, [](const SortRequest& request) {
+        wire::write_frame(std::cout, wire::encode_request(request));
+      });
+      rc != 0) {
+    return rc;
   }
   std::cout.flush();
   return 0;
@@ -347,7 +341,7 @@ int run_load(SortService& service, int channels, std::size_t bits,
   // an old future is all but certainly fulfilled, so the get() is cheap.
   constexpr std::size_t kMaxPendingFutures = 16384;
   Xoshiro256 rng(seed);
-  std::deque<std::future<std::vector<Word>>> futures;
+  std::deque<std::future<SortResponse>> futures;
   std::size_t completed = 0;
   PoissonClock arrivals(rate, rng);
   const auto end = arrivals.start() +
@@ -357,8 +351,8 @@ int run_load(SortService& service, int channels, std::size_t bits,
     const auto scheduled = arrivals.next();
     if (scheduled >= end) break;
     if (scheduled > Clock::now()) std::this_thread::sleep_until(scheduled);
-    futures.push_back(
-        service.submit(random_valid_round(rng, channels, bits)));
+    futures.push_back(service.submit(
+        *SortRequest::from_words(random_valid_round(rng, channels, bits))));
     while (futures.size() > kMaxPendingFutures) {
       (void)futures.front().get();
       futures.pop_front();
