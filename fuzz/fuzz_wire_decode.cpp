@@ -18,7 +18,11 @@
 //     (shape, rounds, payload trits, status, deadline budget, format);
 //   * encode ∘ decode is a fixpoint: encoding the second decode yields
 //     byte-identical output to encoding the first (the codec canonicalizes
-//     in at most one hop).
+//     in at most one hop);
+//   * a single-round body is the batch body with rounds = 1 implied: when
+//     a type-1/2 body decodes and its shape is within kMaxBatchTrits, the
+//     body with a round count of 1 spliced in (offset 20 for requests, 24
+//     for responses) decodes through the batch decoder to the same value.
 //
 // All decodes use one fixed clock instant so deadline budgets round-trip
 // exactly. Violations abort (fuzz::require), which libFuzzer/ASan report
@@ -82,6 +86,46 @@ void check_response_roundtrip(const SortResponse& r1, bool batch) {
   require(f1 == f2, "response encode must be a fixpoint after one decode");
 }
 
+/// `body` with a u32 round count of 1 inserted at `offset`.
+std::vector<std::uint8_t> splice_one_round(std::span<const std::uint8_t> body,
+                                           std::size_t offset) {
+  std::vector<std::uint8_t> out(body.begin(), body.end());
+  const std::uint8_t one[4] = {1, 0, 0, 0};
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(offset), one, one + 4);
+  return out;
+}
+
+void check_request_splice(std::span<const std::uint8_t> body,
+                          const SortRequest& r1) {
+  if (r1.shape.trits() > kMaxBatchTrits) return;  // batch frames refuse it
+  StatusOr<SortRequest> r2 =
+      wire::decode_batch_request(splice_one_round(body, 20), fuzz::fixed_now());
+  require(r2.ok(), "one-round batch splice of a request body must decode");
+  require(r2->shape == r1.shape, "request splice must keep the shape");
+  require(r2->rounds == 1 && r1.rounds == 1, "request splice is one round");
+  require(r2->values_requested == r1.values_requested,
+          "request splice must keep the values flag");
+  require(r2->deadline == r1.deadline, "request splice must keep the deadline");
+  require(std::ranges::equal(r2->payload, r1.payload),
+          "request splice must keep the payload");
+}
+
+void check_response_splice(std::span<const std::uint8_t> body,
+                           const SortResponse& r1) {
+  if (r1.shape.trits() > kMaxBatchTrits) return;
+  StatusOr<SortResponse> r2 =
+      wire::decode_batch_response(splice_one_round(body, 24));
+  require(r2.ok(), "one-round batch splice of a response body must decode");
+  require(r2->shape == r1.shape, "response splice must keep the shape");
+  require(r2->rounds == 1 && r1.rounds == 1, "response splice is one round");
+  require(r2->status == r1.status, "response splice must keep the status");
+  require(r2->values_requested == r1.values_requested,
+          "response splice must keep the values flag");
+  require(r2->latency == r1.latency, "response splice must keep the latency");
+  require(std::ranges::equal(r2->payload, r1.payload),
+          "response splice must keep the payload");
+}
+
 void check_stats_reply_roundtrip(const wire::StatsReply& r1) {
   const std::vector<std::uint8_t> f1 = wire::encode_stats_response(r1);
   StatusOr<wire::FrameView> v1 = wire::parse_frame(f1);
@@ -101,11 +145,13 @@ void decode_body(wire::FrameType type, std::span<const std::uint8_t> body) {
     case wire::FrameType::request:
       if (StatusOr<SortRequest> r = wire::decode_request(body, now); r.ok()) {
         check_request_roundtrip(*r, /*batch=*/false);
+        check_request_splice(body, *r);
       }
       break;
     case wire::FrameType::response:
       if (StatusOr<SortResponse> r = wire::decode_response(body); r.ok()) {
         check_response_roundtrip(*r, /*batch=*/false);
+        check_response_splice(body, *r);
       }
       break;
     case wire::FrameType::batch_request:

@@ -88,7 +88,7 @@ SortService::SortService(ServeOptions opt)
       pool_(opt_.sorter, opt_.registry.get(), opt_.pool_capacity),
       batcher_(opt_.max_lanes, opt_.flush_window, opt_.registry.get()),
       ready_(opt_.ready_capacity),
-      metrics_(*opt_.registry, opt_.max_lanes),
+      metrics_(*opt_.registry),
       proc_stats_(*opt_.registry) {
   // Warm the pool before traffic: first requests for the listed shapes
   // hit compiled programs. Failures reach warmup_observer; the service

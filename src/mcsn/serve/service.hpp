@@ -142,16 +142,14 @@ class SortService {
   /// destructor calls it.
   void stop();
 
-  /// Consistent point-in-time counters/histograms; safe to call from any
-  /// thread, concurrently with traffic and with stop().
-  [[nodiscard]] MetricsSnapshot metrics() const { return metrics_.snapshot(); }
-  /// metrics() rendered as locale-independent JSON.
-  [[nodiscard]] std::string metrics_json() const {
-    return metrics_.snapshot().json();
-  }
   /// The registry this service records into (options().registry; never
-  /// null after construction). Scrape it directly or register additional
-  /// series — handles stay valid for the service's lifetime.
+  /// null after construction) — the one source of its counters and
+  /// histograms (serve_*_total, serve_latency_ns, serve_batch_lanes, ...;
+  /// catalog in docs/OBSERVABILITY.md). Safe to read from any thread,
+  /// concurrently with traffic and with stop(); handles stay valid for the
+  /// service's lifetime. Read the completion-side counters before
+  /// serve_submitted_total: a request is counted submitted before it can
+  /// complete, so that order never shows completed ahead of submitted.
   [[nodiscard]] MetricsRegistry& registry() const noexcept {
     return *opt_.registry;
   }

@@ -13,53 +13,39 @@
 //   4      4     body length N
 //   8      N     body
 //
-// Request body (type 1):
+// Sort request body (type 1 = one round; type 3 = batch, version >= 2).
+// A type-1 body is the type-3 body without the round-count field, whose
+// value is then implicitly 1; one codec serves both. A batch carries R
+// same-shape rounds behind one header, amortizing header + syscall cost
+// and feeding the server's lane engine whole groups at a time:
 //   0      4     channels
 //   4      4     bits
 //   8      4     flags (bit 0: payload is u64 values, not trits)
-//   12     8     deadline budget in ns (0 = no deadline), relative to
-//                receipt — steady-clock instants don't cross processes.
-//                Decoders clamp the budget at 2^60 ns (~36 years): beyond
-//                that it is effectively "none", and re-anchoring an
-//                arbitrary u64 at receipt would overflow the signed clock
-//   20     ...   payload: either ceil(channels*bits/4) bytes of trits
-//                packed 2 bits each (00=0, 01=1, 10=M, 11=invalid, trit i
-//                in byte i/4 at bit 2*(i%4)), or channels x u64 values
+//   12     8     deadline budget in ns (0 = no deadline; for a batch, the
+//                whole batch's), relative to receipt — steady-clock
+//                instants don't cross processes. Decoders clamp the budget
+//                at 2^60 ns (~36 years): beyond that it is effectively
+//                "none", and re-anchoring an arbitrary u64 at receipt
+//                would overflow the signed clock
+//   20     4     round count R (>= 1) — type 3 only
+//   20|24  ...   payload: all R rounds contiguous, round-major — either
+//                ceil(R*channels*bits/4) bytes of trits packed 2 bits each
+//                (00=0, 01=1, 10=M, 11=invalid, trit i in byte i/4 at bit
+//                2*(i%4); one canonical-padding tail byte for the whole
+//                payload), or R x channels u64 values
 //
-// Response body (type 2):
+// Sort response body (type 2 = one round; type 4 = batch, version >= 2),
+// again the type-4 body less its round-count field for type 2:
 //   0      4     status code (StatusCode numeric value)
 //   4      4     flags (bit 0: payload is u64 values)
 //   8      4     channels
 //   12     4     bits
 //   16     8     latency in ns
-//   24     4     status message length M
-//   28     M     status message (UTF-8)
-//   28+M   ...   payload (same encodings; empty unless status == ok)
-//
-// Batch request body (type 3, version >= 2) — R same-shape rounds behind
-// one header, amortizing header + syscall cost and feeding the server's
-// lane engine whole groups at a time:
-//   0      4     channels
-//   4      4     bits
-//   8      4     flags (bit 0: payload is u64 values)
-//   12     8     deadline budget in ns for the whole batch (0 = none)
-//   20     4     round count R (>= 1)
-//   24     ...   payload: all R rounds contiguous, round-major — either
-//                ceil(R*channels*bits/4) bytes of packed trits (one
-//                canonical-padding tail byte for the whole batch), or
-//                R x channels u64 values
-//
-// Batch response body (type 4, version >= 2):
-//   0      4     status code
-//   4      4     flags (bit 0: payload is u64 values)
-//   8      4     channels
-//   12     4     bits
-//   16     8     latency in ns
-//   24     4     round count R
-//   28     4     status message length M
-//   32     M     status message (UTF-8)
-//   32+M   ...   payload for all R rounds (same encodings as the batch
-//                request; empty unless status == ok)
+//   24     4     round count R — type 4 only
+//   24|28  4     status message length M
+//   28|32  M     status message (UTF-8)
+//   ...    ...   payload for all R rounds (same encodings as the request;
+//                empty unless status == ok)
 //
 // Stats request body (type 5, version >= 2) — admin frame asking the
 // server for its live observability document; answered from the event
@@ -220,7 +206,9 @@ struct FrameView {
 [[nodiscard]] StatusOr<std::optional<FrameView>> try_parse_frame(
     std::span<const std::uint8_t> bytes);
 
-/// Decodes a request body. Deadline budgets are re-anchored at `now`.
+/// Decodes a request body. Deadline budgets are re-anchored at `now`; a
+/// value payload entry that does not fit in `bits` is kDataLoss. Single-
+/// round bodies are bounded by the shape limits and kMaxBody only.
 [[nodiscard]] StatusOr<SortRequest> decode_request(
     std::span<const std::uint8_t> body,
     std::chrono::steady_clock::time_point now =
@@ -230,10 +218,12 @@ struct FrameView {
 [[nodiscard]] StatusOr<SortResponse> decode_response(
     std::span<const std::uint8_t> body);
 
-/// Decodes a batch request body (frame type batch_request). Rejects a
-/// zero round count (kInvalidArgument), a round count inconsistent with
-/// the body length (kDataLoss), and batches over the API bounds
-/// (kResourceExhausted). Deadline budgets are re-anchored at `now`.
+/// Decodes a batch request body (frame type batch_request) through the
+/// same decoder as decode_request. Rejects a zero round count
+/// (kInvalidArgument), a round count inconsistent with the body length
+/// (kDataLoss), and batches over the API bounds (kResourceExhausted) —
+/// the kMaxBatchTrits bound applies even at R == 1. Deadline budgets are
+/// re-anchored at `now`.
 [[nodiscard]] StatusOr<SortRequest> decode_batch_request(
     std::span<const std::uint8_t> body,
     std::chrono::steady_clock::time_point now =

@@ -47,17 +47,6 @@ std::uint64_t Histogram::quantile(double q) const noexcept {
   return max_;
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
-  if (other.count_ == 0) return;
-  for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void Histogram::reset() noexcept { *this = Histogram{}; }
-
 std::string Histogram::json(double unit) const {
   const auto scaled = [unit](std::uint64_t v) {
     return static_cast<double>(v) / unit;

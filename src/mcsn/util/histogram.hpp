@@ -5,8 +5,9 @@
 // uint64 — the caller picks the unit (the serve subsystem records
 // nanoseconds and reports microseconds).
 //
-// Not internally synchronized; wrap in a mutex (ServiceMetrics does) or
-// keep one per thread and merge().
+// Not internally synchronized: concurrent recorders use AtomicHistogram
+// (util/metrics_registry.hpp, what ServiceMetrics records through), whose
+// snapshot() is a plain Histogram — the value type readers consume.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,9 +34,6 @@ class Histogram {
   /// Upper bound of the bucket holding the q-quantile (q in [0, 1]).
   /// Exact for values < 8; within 1/16 relative error above. 0 when empty.
   [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
-
-  void merge(const Histogram& other) noexcept;
-  void reset() noexcept;
 
   /// JSON object {"count":..,"min":..,"p50":..,"p90":..,"p99":..,"max":..,
   /// "mean":..}, values divided by `unit` (e.g. 1000 to report recorded

@@ -27,6 +27,7 @@
 #include "mcsn/serve/wire.hpp"
 #include "mcsn/util/loadgen.hpp"
 #include "mcsn/util/rng.hpp"
+#include "socket_counters.hpp"
 
 namespace mcsn {
 namespace {
@@ -278,13 +279,14 @@ TEST(ConnFsmProperty, ThousandRandomizedSessionsAgainstRealServer) {
   }
 
   // All sessions eventually account for their close (abrupt ones lag).
+  const auto count = [&](const char* name) {
+    return socket_counter(service, server, name);
+  };
   EXPECT_TRUE(eventually([&] {
-    const net::SocketServer::Stats stats = server.stats();
-    return stats.closed + stats.idle_closed >= kSessions;
+    return count("closed") + count("idle_closed") >= kSessions;
   }));
-  const net::SocketServer::Stats stats = server.stats();
-  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kSessions));
-  EXPECT_GT(stats.protocol_errors, 0u);  // garbage/truncation endings ran
+  EXPECT_EQ(count("accepted"), static_cast<std::uint64_t>(kSessions));
+  EXPECT_GT(count("protocol_errors"), 0u);  // garbage/truncation endings ran
   server.stop();
 }
 
@@ -310,7 +312,8 @@ TEST(ConnFsmProperty, IdleReaperClosesStalledConnections) {
   StatusOr<SortResponse> rsp = idle->sort(*req);
   ASSERT_TRUE(rsp.ok());
 
-  EXPECT_TRUE(eventually([&] { return server.stats().idle_closed >= 1; }));
+  EXPECT_TRUE(eventually(
+      [&] { return socket_counter(service, server, "idle_closed") >= 1; }));
   server.stop();
 }
 

@@ -242,27 +242,23 @@ TEST(SlowRequestRing, JsonListsEntriesWithStageBreakdown) {
   EXPECT_EQ(SlowRequestRing(4).json(), "[]");
 }
 
-TEST(ServiceMetrics, SnapshotCompatViewMatchesRegistrySeries) {
+TEST(ServiceMetrics, RecordsIntoRegistrySeries) {
   MetricsRegistry reg;
-  ServiceMetrics m(reg, 16);
+  ServiceMetrics m(reg);
   m.on_submitted();
   m.on_submitted();
   m.on_rejected();
   m.record_latency(1000);
   m.on_batch(8, FlushCause::window, /*failed=*/0, /*expired=*/1);
-  const MetricsSnapshot snap = m.snapshot();
-  EXPECT_EQ(snap.submitted, 2u);
-  EXPECT_EQ(snap.rejected, 1u);
-  EXPECT_EQ(snap.batches, 1u);
-  EXPECT_EQ(snap.flush_window, 1u);
-  EXPECT_EQ(snap.expired, 1u);
-  EXPECT_EQ(snap.max_lanes, 16u);
-  EXPECT_EQ(snap.latency_ns.count(), 1u);
-  EXPECT_EQ(snap.batch_lanes.count(), 1u);
-  // The same numbers must be visible through the shared registry.
-  EXPECT_EQ(reg.counter("serve_submitted_total").value(), 2u);
+  EXPECT_EQ(reg.counter("serve_completed_total").value(), 7u);
+  EXPECT_EQ(reg.counter("serve_expired_total").value(), 1u);
+  EXPECT_EQ(reg.counter("serve_batches_total").value(), 1u);
   EXPECT_EQ(reg.counter("serve_flush_total", {{"cause", "window"}}).value(),
             1u);
+  EXPECT_EQ(reg.histogram("serve_latency_ns").snapshot().count(), 1u);
+  EXPECT_EQ(reg.histogram("serve_batch_lanes").snapshot().count(), 1u);
+  EXPECT_EQ(reg.counter("serve_rejected_total").value(), 1u);
+  EXPECT_EQ(reg.counter("serve_submitted_total").value(), 2u);
 }
 
 #if defined(__linux__)

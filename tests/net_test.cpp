@@ -31,6 +31,7 @@
 #include "mcsn/sorter.hpp"
 #include "mcsn/util/loadgen.hpp"
 #include "mcsn/util/rng.hpp"
+#include "socket_counters.hpp"
 
 namespace mcsn {
 namespace {
@@ -96,6 +97,11 @@ struct Loopback {
     return std::move(*c);
   }
 
+  /// socket_<name>_total summed over every loop.
+  std::uint64_t count(const std::string& name) const {
+    return socket_counter(*service, *server, name);
+  }
+
   std::optional<SortService> service;
   std::optional<net::SocketServer> server;
 };
@@ -125,10 +131,9 @@ TEST(SocketServer, RoundTripParityVsFlatBatch) {
     ASSERT_TRUE(response->status.ok()) << response->status.to_string();
     EXPECT_EQ(response->payload, expect[i]) << "round " << i;
   }
-  const net::SocketServer::Stats stats = loop.server->stats();
-  EXPECT_EQ(stats.requests, rounds.size());
-  EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(loop.count("requests"), rounds.size());
+  EXPECT_EQ(loop.count("accepted"), 1u);
+  EXPECT_EQ(loop.count("protocol_errors"), 0u);
 }
 
 TEST(SocketServer, NonCatalogShapeRoundTripsWithParity) {
@@ -151,7 +156,7 @@ TEST(SocketServer, NonCatalogShapeRoundTripsWithParity) {
     ASSERT_TRUE(response->status.ok()) << response->status.to_string();
     EXPECT_EQ(response->payload, expect[i]) << "round " << i;
   }
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.count("protocol_errors"), 0u);
 }
 
 TEST(SocketServer, UnsupportedShapeGetsUnimplementedFrameNotAClose) {
@@ -184,7 +189,7 @@ TEST(SocketServer, UnsupportedShapeGetsUnimplementedFrameNotAClose) {
   ASSERT_TRUE(response.ok()) << response.status().to_string();
   ASSERT_TRUE(response->status.ok()) << response->status.to_string();
   EXPECT_EQ(response->payload, expect[0]);
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.count("protocol_errors"), 0u);
 }
 
 TEST(SocketServer, ValueRequestsDecodeAsIntegers) {
@@ -272,7 +277,7 @@ TEST(SocketServer, ConcurrentPipelinedClientsInterleave) {
   }
   for (std::thread& t : threads) t.join();
   for (const std::string& f : failures) EXPECT_EQ(f, "");
-  EXPECT_EQ(loop.server->stats().requests,
+  EXPECT_EQ(loop.count("requests"),
             static_cast<std::uint64_t>(kClients) * kPerClient);
 }
 
@@ -333,7 +338,7 @@ TEST(SocketServer, HalfCloseAfterBurstStillAnswersEverything) {
   StatusOr<SortResponse> eof = client.receive();
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);  // clean close
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.count("protocol_errors"), 0u);
 }
 
 TEST(SocketServer, LateReaderDrainsBackpressuredWrites) {
@@ -417,7 +422,7 @@ TEST(SocketServer, NeverReadingClientIsReaped) {
     }
   });
   EXPECT_TRUE(eventually(
-      [&] { return loop.server->stats().idle_closed >= 1; }, 10000ms));
+      [&] { return loop.count("idle_closed") >= 1; }, 10000ms));
   EXPECT_TRUE(eventually([&] { return loop.server->connections() == 0; }));
   writer.join();
   ::close(fd);
@@ -489,7 +494,7 @@ TEST(SocketServer, BadMagicGetsErrorFrameThenClose) {
   StatusOr<SortResponse> eof = client.receive();
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(loop.server->stats().protocol_errors, 1u);
+  EXPECT_EQ(loop.count("protocol_errors"), 1u);
 }
 
 TEST(SocketServer, UndecodableRequestBodyGetsStatusThenClose) {
@@ -556,10 +561,10 @@ TEST(SocketServer, CloseMidFrameCountsAsProtocolError) {
     const std::uint8_t partial[4] = {'M', 'C', 1, 1};  // header cut short
     ASSERT_EQ(::send(client.native_handle(), partial, sizeof partial, 0), 4);
     ASSERT_TRUE(eventually(
-        [&] { return loop.server->stats().accepted == 1; }));
+        [&] { return loop.count("accepted") == 1; }));
   }  // close with the frame unfinished
   EXPECT_TRUE(eventually(
-      [&] { return loop.server->stats().protocol_errors == 1; }));
+      [&] { return loop.count("protocol_errors") == 1; }));
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -583,7 +588,7 @@ TEST(SocketServer, StopDrainsPendingResponses) {
     ASSERT_TRUE(client.send(*request).ok());
   }
   ASSERT_TRUE(eventually(
-      [&] { return loop.server->stats().requests == rounds.size(); }));
+      [&] { return loop.count("requests") == rounds.size(); }));
   loop.server->stop();
   // Every admitted request's response was flushed before the close.
   for (std::size_t i = 0; i < rounds.size(); ++i) {
@@ -630,7 +635,7 @@ TEST(SocketServer, IdleConnectionsAreReaped) {
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
   EXPECT_TRUE(eventually(
-      [&] { return loop.server->stats().idle_closed == 1; }));
+      [&] { return loop.count("idle_closed") == 1; }));
 }
 
 TEST(SocketServer, StartValidatesOptionsAndRejectsReuse) {
@@ -719,16 +724,16 @@ TEST(SocketServer, MultiLoopPipelinedClientsSpreadAndAgree) {
 
   // Aggregated counters cover every loop's traffic, and the round-robin
   // dispatch actually used every loop.
-  const net::SocketServer::Stats total = loop.server->stats();
-  EXPECT_EQ(total.requests, static_cast<std::uint64_t>(kClients) * kPerClient);
-  EXPECT_EQ(total.accepted, static_cast<std::uint64_t>(kClients));
+  const std::uint64_t requests = loop.count("requests");
+  EXPECT_EQ(requests, static_cast<std::uint64_t>(kClients) * kPerClient);
+  EXPECT_EQ(loop.count("accepted"), static_cast<std::uint64_t>(kClients));
   std::uint64_t summed = 0;
   for (std::size_t l = 0; l < loop.server->loop_count(); ++l) {
-    const net::SocketServer::Stats per = loop.server->loop_stats(l);
-    EXPECT_GT(per.requests, 0u) << "loop " << l << " served nothing";
-    summed += per.requests;
+    const std::uint64_t per = socket_loop_counter(*loop.service, "requests", l);
+    EXPECT_GT(per, 0u) << "loop " << l << " served nothing";
+    summed += per;
   }
-  EXPECT_EQ(summed, total.requests);
+  EXPECT_EQ(summed, requests);
 }
 
 TEST(SocketServer, MultiLoopListenersShareOneEphemeralPort) {
@@ -758,7 +763,7 @@ TEST(SocketServer, MultiLoopListenersShareOneEphemeralPort) {
     ASSERT_TRUE(response->status.ok());
     EXPECT_EQ(response->payload, expect[0]);
   }
-  EXPECT_EQ(loop.server->stats().accepted, 8u);
+  EXPECT_EQ(loop.count("accepted"), 8u);
 }
 
 TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
@@ -786,7 +791,7 @@ TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
     ASSERT_TRUE(b.send(*request).ok());
   }
   ASSERT_TRUE(eventually(
-      [&] { return loop.server->stats().requests == 2 * rounds.size(); }));
+      [&] { return loop.count("requests") == 2 * rounds.size(); }));
   loop.server->stop();
   for (std::size_t i = 0; i < rounds.size(); ++i) {
     StatusOr<SortResponse> ra = a.receive();
@@ -834,10 +839,9 @@ TEST(SocketServer, BatchFramesRoundTripWithParityAndCounters) {
             static_cast<std::ptrdiff_t>((i + 1) * shape.trits()));
     EXPECT_EQ(row, expect[i]) << "round " << i;
   }
-  const net::SocketServer::Stats stats = loop.server->stats();
-  EXPECT_EQ(stats.requests, 1u);        // one frame...
-  EXPECT_EQ(stats.batch_requests, 1u);  // ...a batch one...
-  EXPECT_EQ(stats.rounds, kRounds);     // ...carrying all the rounds
+  EXPECT_EQ(loop.count("requests"), 1u);        // one frame...
+  EXPECT_EQ(loop.count("batch_requests"), 1u);  // ...a batch one...
+  EXPECT_EQ(loop.count("rounds"), kRounds);     // ...carrying all the rounds
 }
 
 TEST(SocketServer, BatchAndSingleFramesInterleaveInOrder) {
@@ -918,6 +922,11 @@ struct UdsLoop {
     return std::move(*c);
   }
 
+  /// socket_<name>_total summed over every loop.
+  std::uint64_t count(const std::string& name) const {
+    return socket_counter(*service, *server, name);
+  }
+
   std::string path;
   std::optional<SortService> service;
   std::optional<net::SocketServer> server;
@@ -995,15 +1004,14 @@ TEST(SocketServer, UnixDomainBatchAndMultiLoopDispatch) {
       EXPECT_EQ(row, expect[i]);
     }
   }
-  const net::SocketServer::Stats stats = loop.server->stats();
-  EXPECT_EQ(stats.accepted, 4u);
-  EXPECT_EQ(stats.batch_requests, 4u);
-  EXPECT_EQ(stats.rounds, 4 * kRounds);
+  EXPECT_EQ(loop.count("accepted"), 4u);
+  EXPECT_EQ(loop.count("batch_requests"), 4u);
+  EXPECT_EQ(loop.count("rounds"), 4 * kRounds);
   // Round-robin dispatch: both loops adopted connections.
-  EXPECT_GT(loop.server->loop_stats(0).accepted +
-                loop.server->loop_stats(0).requests,
+  EXPECT_GT(socket_loop_counter(*loop.service, "accepted", 0) +
+                socket_loop_counter(*loop.service, "requests", 0),
             0u);
-  EXPECT_GT(loop.server->loop_stats(1).requests, 0u);
+  EXPECT_GT(socket_loop_counter(*loop.service, "requests", 1), 0u);
 }
 
 TEST(SocketServer, UnixPathIsUnlinkedOnStopAndNonSocketRefused) {
@@ -1172,7 +1180,7 @@ TEST(SocketServer, LiveStatsScrapeDuringPipelinedLoad) {
   // By now at least one batch executed, so the per-shape pool series exist.
   EXPECT_NE(after->text.find("pool_batches_total{bits=\"4\",channels=\"4\"}"),
             std::string::npos);
-  EXPECT_GE(loop.server->stats().stats_requests, 2u);
+  EXPECT_GE(loop.count("stats_requests"), 2u);
 }
 
 TEST(SocketServer, StatsFramesInterleaveWithSortFramesInOrder) {
@@ -1256,7 +1264,7 @@ TEST(SocketServer, MalformedStatsRequestGetsErrorReplyAndSurvives) {
       client.sort(SortRequest::view(shape, round).value());
   ASSERT_TRUE(response.ok()) << response.status().to_string();
   EXPECT_TRUE(response->status.ok());
-  EXPECT_EQ(loop.server->stats().protocol_errors, 0u);
+  EXPECT_EQ(loop.count("protocol_errors"), 0u);
 }
 
 TEST(SocketServer, SlowRequestRingCapturesDeadlineExceeded) {

@@ -43,6 +43,16 @@ std::vector<Word> random_round(Xoshiro256& rng, int channels,
   return random_valid_round(rng, channels, bits);
 }
 
+/// One of the service's counter series, read from its registry.
+std::uint64_t counter(const SortService& service, const std::string& name,
+                      MetricsRegistry::Labels labels = {}) {
+  return service.registry().counter(name, std::move(labels)).value();
+}
+
+std::uint64_t flushes(const SortService& service, const char* cause) {
+  return counter(service, "serve_flush_total", {{"cause", cause}});
+}
+
 // A well-formed round as a single-round request.
 SortRequest request_of(const std::vector<Word>& round) {
   return std::move(SortRequest::from_words(round).value());
@@ -450,13 +460,17 @@ TEST(SortService, BatchingEquivalentToDirectSortBatch) {
     }
   }
 
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, order.size());
-  EXPECT_EQ(m.completed, order.size());
-  EXPECT_EQ(m.failed, 0u);
-  EXPECT_GE(m.batches, 4u);  // at least ceil(300/256)+1+1 shape flushes
-  EXPECT_EQ(m.flush_full + m.flush_window + m.flush_drain, m.batches);
-  EXPECT_GT(m.mean_occupancy(), 0.0);
+  // Completion side first, as in every counter read that follows.
+  EXPECT_EQ(counter(service, "serve_completed_total"), order.size());
+  EXPECT_EQ(counter(service, "serve_failed_total"), 0u);
+  const std::uint64_t batches = counter(service, "serve_batches_total");
+  EXPECT_GE(batches, 4u);  // at least ceil(300/256)+1+1 shape flushes
+  EXPECT_EQ(flushes(service, "lane_full") + flushes(service, "window") +
+                flushes(service, "drain"),
+            batches);
+  EXPECT_GT(service.registry().histogram("serve_batch_lanes").snapshot().mean(),
+            0.0);
+  EXPECT_EQ(counter(service, "serve_submitted_total"), order.size());
   EXPECT_EQ(service.shapes(), shapes.size());
 }
 
@@ -488,10 +502,10 @@ TEST(SortService, ConcurrentProducersStaySorted) {
   }
   for (auto& t : producers) t.join();
   for (int p = 0; p < kProducers; ++p) EXPECT_EQ(failures[p], 0);
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.completed,
+  EXPECT_EQ(counter(service, "serve_completed_total"),
             static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_GT(m.latency_ns.count(), 0u);
+  EXPECT_GT(service.registry().histogram("serve_latency_ns").snapshot().count(),
+            0u);
 }
 
 TEST(SortService, StopDrainsEveryPendingFuture) {
@@ -513,14 +527,13 @@ TEST(SortService, StopDrainsEveryPendingFuture) {
   for (std::size_t i = 0; i < futures.size(); ++i) {
     EXPECT_EQ(futures[i].get().payload, expect[i]);  // fulfilled by the drain
   }
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.flush_drain, 1u);
-  EXPECT_EQ(m.completed, 40u);
+  EXPECT_EQ(counter(service, "serve_completed_total"), 40u);
+  EXPECT_EQ(flushes(service, "drain"), 1u);
 
   EXPECT_EQ(service.submit(request_of(random_round(rng, 4, 4))).get().status
                 .code(),
             StatusCode::kUnavailable);
-  EXPECT_EQ(service.metrics().rejected, 1u);
+  EXPECT_EQ(counter(service, "serve_rejected_total"), 1u);
   service.stop();  // idempotent
 }
 
@@ -548,10 +561,10 @@ TEST(SortService, RefusedReadyPushFailsGroupInsteadOfDroppingIt) {
         << "request " << i;
   }
 
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, 8u);
-  EXPECT_EQ(m.rejected, 8u);  // refused pushes count as rejections
-  EXPECT_EQ(m.completed, 0u);
+  EXPECT_EQ(counter(service, "serve_completed_total"), 0u);
+  // Refused pushes count as rejections.
+  EXPECT_EQ(counter(service, "serve_rejected_total"), 8u);
+  EXPECT_EQ(counter(service, "serve_submitted_total"), 8u);
   service.stop();  // still clean to stop after the induced fault
 }
 
@@ -599,27 +612,32 @@ TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
   service.stop();
 }
 
-// Metrics JSON must stay locale-independent (CI parses the artifacts).
-TEST(SortService, MetricsJsonIsLocaleIndependent) {
+// The stats document must stay locale-independent (CI and the wire stats
+// frame's consumers parse it).
+TEST(SortService, StatsJsonIsLocaleIndependent) {
   struct CommaPunct : std::numpunct<char> {
     char do_decimal_point() const override { return ','; }
     char do_thousands_sep() const override { return '.'; }
     std::string do_grouping() const override { return "\3"; }
   };
-  MetricsSnapshot snap;
-  snap.submitted = 1234567;
-  snap.completed = 1234567;
-  snap.batches = 1000;
-  snap.max_lanes = 256;
-  for (int i = 0; i < 1000; ++i) snap.latency_ns.record(2500000);
+  SortService service;
+  MetricsRegistry& reg = service.registry();
+  reg.counter("serve_submitted_total").add(1234567);
+  reg.counter("serve_completed_total").add(1234567);
+  for (int i = 0; i < 1000; ++i) reg.histogram("serve_latency_ns").record(2500);
+  reg.histogram("serve_batch_lanes").record(1);
+  reg.histogram("serve_batch_lanes").record(2);  // mean 1.5: a decimal point
 
   const std::locale previous =
       std::locale::global(std::locale(std::locale::classic(),
                                       new CommaPunct));
-  const std::string json = snap.json();
+  const std::string json = service.stats_json();
   std::locale::global(previous);
 
-  EXPECT_NE(json.find("\"submitted\": 1234567"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"serve_submitted_total\": 1234567"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("1.5"), std::string::npos) << json;
   EXPECT_EQ(json.find("1.234"), std::string::npos) << json;  // no grouping
   // Commas may only be JSON separators (always followed by a space here),
   // never decimal commas inside a number.
@@ -646,7 +664,7 @@ TEST(SortService, RejectsMalformedRounds) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(SortService, MetricsJsonHasTheAdvertisedFields) {
+TEST(SortService, StatsJsonHasTheAdvertisedSeries) {
   ServeOptions opt;
   opt.flush_window = 100us;
   SortService service(opt);
@@ -654,11 +672,12 @@ TEST(SortService, MetricsJsonHasTheAdvertisedFields) {
       .submit(*SortRequest::from_values(
           SortShape{4, 4}, std::vector<std::uint64_t>{3, 1, 2, 0}))
       .get();
-  const std::string json = service.metrics_json();
+  const std::string json = service.stats_json();
   for (const char* key :
-       {"\"submitted\"", "\"completed\"", "\"batches\"", "\"flush\"",
-        "\"mean_occupancy\"", "\"batch_lanes\"", "\"latency_us\"", "\"p50\"",
-        "\"p99\""}) {
+       {"\"serve_submitted_total\"", "\"serve_completed_total\"",
+        "\"serve_batches_total\"", "\"serve_flush_total{cause=\\\"window\\\"}\"",
+        "\"serve_batch_lanes\"", "\"serve_latency_ns\"", "\"p50\"",
+        "\"p99\"", "\"slow_requests\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
 }
@@ -720,11 +739,10 @@ TEST(SortService, RequestApiMatchesDirectSortBatchFlat) {
     ASSERT_TRUE(callback_slots[i].status.ok());
     ASSERT_EQ(callback_slots[i].payload, expect[i]) << "callback " << i;
   }
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, kRounds);
-  EXPECT_EQ(m.completed, kRounds);
-  EXPECT_EQ(m.failed, 0u);
-  EXPECT_EQ(m.expired, 0u);
+  EXPECT_EQ(counter(service, "serve_completed_total"), kRounds);
+  EXPECT_EQ(counter(service, "serve_failed_total"), 0u);
+  EXPECT_EQ(counter(service, "serve_expired_total"), 0u);
+  EXPECT_EQ(counter(service, "serve_submitted_total"), kRounds);
 }
 
 // The request path never throws: malformed requests and post-stop submits
@@ -734,7 +752,7 @@ TEST(SortService, RequestApiFailsViaStatusNotExceptions) {
   SortRequest malformed;  // empty payload, 0x0 shape
   const SortResponse bad = service.submit(std::move(malformed)).get();
   EXPECT_EQ(bad.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.metrics().rejected, 1u);
+  EXPECT_EQ(counter(service, "serve_rejected_total"), 1u);
 
   service.stop();
   Xoshiro256 rng(5);
@@ -746,7 +764,7 @@ TEST(SortService, RequestApiFailsViaStatusNotExceptions) {
         EXPECT_EQ(rsp.status.code(), StatusCode::kUnavailable);
       });
   EXPECT_TRUE(called_inline);  // completion ran before submit returned
-  EXPECT_EQ(service.metrics().rejected, 2u);
+  EXPECT_EQ(counter(service, "serve_rejected_total"), 2u);
 }
 
 // Deadline policy: judged at flush time. An expired request is failed with
@@ -778,11 +796,10 @@ TEST(SortService, DeadlineExpiredRequestsFailAtFlushTime) {
   ASSERT_TRUE(r_fresh.status.ok()) << r_fresh.status.to_string();
   EXPECT_EQ(r_fresh.payload, reference_sort({round_b})[0]);
 
-  const MetricsSnapshot m = service.metrics();
-  EXPECT_EQ(m.submitted, 2u);
-  EXPECT_EQ(m.expired, 1u);
-  EXPECT_EQ(m.completed, 1u);
-  EXPECT_EQ(m.failed, 0u);
+  EXPECT_EQ(counter(service, "serve_completed_total"), 1u);
+  EXPECT_EQ(counter(service, "serve_failed_total"), 0u);
+  EXPECT_EQ(counter(service, "serve_expired_total"), 1u);
+  EXPECT_EQ(counter(service, "serve_submitted_total"), 2u);
 }
 
 // Regression: integer-valued requests must reject bits > 64 loudly —
@@ -847,7 +864,7 @@ TEST(SortService, BackpressureBoundsInflight) {
     futures.push_back(service.submit(request_of(random_round(rng, 4, 4))));
   }
   for (auto& f : futures) (void)f.get();
-  EXPECT_EQ(service.metrics().completed, 200u);
+  EXPECT_EQ(counter(service, "serve_completed_total"), 200u);
 }
 
 }  // namespace

@@ -115,23 +115,6 @@ TEST(Histogram, QuantilesWithinBucketResolution) {
   EXPECT_EQ(h.quantile(1.0), 10000u);  // clamped to the observed max
 }
 
-TEST(Histogram, MergeMatchesCombinedRecording) {
-  Histogram a, b, combined;
-  Xoshiro256 rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const std::uint64_t v = rng.below(1 << 20);
-    (i % 2 ? a : b).record(v);
-    combined.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.max(), combined.max());
-  EXPECT_EQ(a.quantile(0.5), combined.quantile(0.5));
-  EXPECT_EQ(a.quantile(0.99), combined.quantile(0.99));
-  EXPECT_NEAR(a.mean(), combined.mean(), 1e-9);
-}
-
 TEST(Histogram, JsonScalesByUnit) {
   Histogram h;
   h.record(2000);

@@ -2,10 +2,12 @@
 // across every catalog shape and both payload encodings, plus the
 // robustness suite — truncated frames at every prefix length, corrupt
 // length prefixes, version/magic/type/flag mismatches, invalid packed
-// trits — and stream framing over iostreams.
+// trits — stream framing over iostreams, and the equivalence of a
+// single-round frame with the one-round batch frame it stands for.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -619,6 +621,181 @@ TEST(WireBatch, TryParseFrameClassifiesBatchTypesAndVersionMix) {
   v3[2] = wire::kVersion + 1;
   EXPECT_EQ(wire::try_parse_frame(v3).status().code(),
             StatusCode::kUnimplemented);
+}
+
+// --- single-round frames are batch frames with rounds = 1 ---------------------
+
+/// `body` with a u32 round count of 1 inserted at `offset`: the batch body
+/// a single-round body stands for (offset 20 in requests, 24 in responses).
+std::vector<std::uint8_t> splice_one_round(std::span<const std::uint8_t> body,
+                                           std::size_t offset) {
+  std::vector<std::uint8_t> out(body.begin(), body.end());
+  const std::uint8_t one[4] = {1, 0, 0, 0};
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(offset), one, one + 4);
+  return out;
+}
+
+std::span<const std::uint8_t> body_of(const std::vector<std::uint8_t>& frame) {
+  return std::span(frame).subspan(wire::kHeaderSize);
+}
+
+TEST(WireUnified, SingleRoundRequestBodyIsTheOneRoundBatchBody) {
+  const std::vector<SortShape> shapes = {
+      {4, 4}, {7, 3}, {10, 8}, {2, 16}, {3, 64}, {1, 1}};
+  Xoshiro256 rng(401);
+  const auto now = Clock::now();
+  for (const SortShape shape : shapes) {
+    for (const bool values : {false, true}) {
+      for (const bool deadline : {false, true}) {
+        StatusOr<SortRequest> original = Status::internal("unset");
+        if (values) {
+          std::vector<std::uint64_t> vals;
+          for (int c = 0; c < shape.channels; ++c) {
+            const std::uint64_t v = rng.next();
+            vals.push_back(shape.bits == 64
+                               ? v
+                               : v & ((std::uint64_t{1} << shape.bits) - 1));
+          }
+          original = SortRequest::from_values(shape, vals);
+        } else {
+          original = SortRequest::own(shape, random_flat(rng, shape));
+        }
+        ASSERT_TRUE(original.ok()) << original.status().to_string();
+        if (deadline) original->deadline = now + 3ms;
+        const std::string where = std::to_string(shape.channels) + "x" +
+                                  std::to_string(shape.bits) +
+                                  (values ? " values" : " trits") +
+                                  (deadline ? " deadline" : "");
+
+        const std::vector<std::uint8_t> single =
+            wire::encode_request(*original, now);
+        const std::vector<std::uint8_t> spliced =
+            splice_one_round(body_of(single), 20);
+        // The batch encoder emits exactly the spliced body.
+        const std::vector<std::uint8_t> batch =
+            wire::encode_batch_request(*original, now);
+        EXPECT_TRUE(std::ranges::equal(body_of(batch), spliced)) << where;
+
+        StatusOr<SortRequest> a = wire::decode_request(body_of(single), now);
+        StatusOr<SortRequest> b = wire::decode_batch_request(spliced, now);
+        ASSERT_TRUE(a.ok()) << where << ": " << a.status().to_string();
+        ASSERT_TRUE(b.ok()) << where << ": " << b.status().to_string();
+        EXPECT_EQ(a->shape, b->shape) << where;
+        EXPECT_EQ(a->rounds, 1u) << where;
+        EXPECT_EQ(b->rounds, 1u) << where;
+        EXPECT_EQ(a->values_requested, values) << where;
+        EXPECT_EQ(b->values_requested, values) << where;
+        EXPECT_EQ(a->deadline, b->deadline) << where;
+        EXPECT_EQ(a->deadline.has_value(), deadline) << where;
+        EXPECT_TRUE(std::ranges::equal(a->payload, b->payload)) << where;
+        EXPECT_TRUE(std::ranges::equal(a->payload, original->payload))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(WireUnified, SingleRoundResponseBodyIsTheOneRoundBatchBody) {
+  Xoshiro256 rng(403);
+  std::vector<SortResponse> responses;
+  for (const SortShape shape :
+       {SortShape{4, 4}, SortShape{7, 3}, SortShape{2, 16}, SortShape{3, 64}}) {
+    for (const bool values : {false, true}) {
+      SortResponse rsp;
+      rsp.shape = shape;
+      rsp.payload = random_flat(rng, shape);
+      rsp.values_requested = values;  // M outputs fall back to trits
+      rsp.latency = std::chrono::nanoseconds(rng.below(1u << 30));
+      responses.push_back(rsp);
+    }
+    // Stable outputs, so the value encoding really is used.
+    SortResponse stable;
+    stable.shape = shape;
+    stable.payload.assign(shape.trits(), Trit::one);
+    stable.values_requested = true;
+    responses.push_back(stable);
+    responses.push_back(SortResponse::failure(
+        Status::deadline_exceeded("late"), shape, /*values_requested=*/true));
+  }
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const SortResponse& original = responses[i];
+    const std::vector<std::uint8_t> single = wire::encode_response(original);
+    const std::vector<std::uint8_t> spliced =
+        splice_one_round(body_of(single), 24);
+    const std::vector<std::uint8_t> batch =
+        wire::encode_batch_response(original);
+    EXPECT_TRUE(std::ranges::equal(body_of(batch), spliced)) << "case " << i;
+
+    StatusOr<SortResponse> a = wire::decode_response(body_of(single));
+    StatusOr<SortResponse> b = wire::decode_batch_response(spliced);
+    ASSERT_TRUE(a.ok()) << "case " << i << ": " << a.status().to_string();
+    ASSERT_TRUE(b.ok()) << "case " << i << ": " << b.status().to_string();
+    EXPECT_EQ(a->status, b->status) << "case " << i;
+    EXPECT_EQ(a->status, original.status) << "case " << i;
+    EXPECT_EQ(a->shape, b->shape) << "case " << i;
+    EXPECT_EQ(a->rounds, 1u) << "case " << i;
+    EXPECT_EQ(b->rounds, 1u) << "case " << i;
+    EXPECT_EQ(a->values_requested, b->values_requested) << "case " << i;
+    EXPECT_EQ(a->latency, b->latency) << "case " << i;
+    EXPECT_EQ(a->latency, original.latency) << "case " << i;
+    EXPECT_EQ(a->payload, b->payload) << "case " << i;
+    EXPECT_EQ(a->payload, original.payload) << "case " << i;
+  }
+}
+
+// A single round is bounded by the shape limits and kMaxBody alone; the
+// same round framed as a one-round batch takes the kMaxBatchTrits bound.
+TEST(WireUnified, WideSingleRoundDecodesButItsBatchFrameIsResourceExhausted) {
+  const SortShape shape{4096, 512};
+  ASSERT_GT(shape.trits(), kMaxBatchTrits);
+  std::vector<Trit> flat(shape.trits());
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    flat[i] = static_cast<Trit>(i % 3);
+  }
+  const SortRequest request =
+      std::move(SortRequest::own(shape, flat).value());
+
+  const std::vector<std::uint8_t> single = wire::encode_request(request);
+  StatusOr<wire::FrameView> view = wire::parse_frame(single);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  StatusOr<SortRequest> decoded = wire::decode_request(view->body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded->shape, shape);
+  EXPECT_TRUE(std::ranges::equal(decoded->payload, flat));
+
+  const std::vector<std::uint8_t> batch = wire::encode_batch_request(request);
+  view = wire::parse_frame(batch);
+  ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(wire::decode_batch_request(view->body).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(
+      wire::decode_batch_request(splice_one_round(body_of(single), 20))
+          .status()
+          .code(),
+      StatusCode::kResourceExhausted);
+}
+
+// Both request frame types answer a value that does not fit in `bits`
+// with kDataLoss, as both response types always did.
+TEST(WireUnified, OutOfRangeValueIsDataLossForBothRequestTypes) {
+  const SortShape shape{4, 4};
+  const SortRequest request = std::move(
+      SortRequest::from_values(shape, std::vector<std::uint64_t>{1, 2, 3, 4})
+          .value());
+  for (const bool batch : {false, true}) {
+    std::vector<std::uint8_t> frame = batch
+                                          ? wire::encode_batch_request(request)
+                                          : wire::encode_request(request);
+    // Channel 2's value becomes 16: one past the 4-bit range.
+    const std::size_t payload = wire::kHeaderSize + (batch ? 24 : 20);
+    frame[payload + 2 * 8] = 16;
+    StatusOr<wire::FrameView> view = wire::parse_frame(frame);
+    ASSERT_TRUE(view.ok());
+    const Status status = batch ? wire::decode_batch_request(view->body).status()
+                                : wire::decode_request(view->body).status();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss)
+        << (batch ? "batch: " : "single: ") << status.to_string();
+  }
 }
 
 // --- incremental framing ------------------------------------------------------

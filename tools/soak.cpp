@@ -890,20 +890,33 @@ int main(int argc, char** argv) {
   // 6. Every FSM violation counter at zero, plus adversary-effectiveness
   // sanity: an enabled fault class that never fired would make the whole
   // campaign vacuous.
-  const net::SocketServer::Stats sstats = server.stats();
-  check("fsm_violations_zero", sstats.fsm_violations == 0,
-        std::to_string(sstats.fsm_violations) + " violations");
+  // Socket counters: socket_<name>_total summed over the loop label.
+  const auto socket_total = [&](const std::string& name) {
+    std::uint64_t sum = 0;
+    for (std::size_t l = 0; l < server.loop_count(); ++l) {
+      sum += service.registry()
+                 .counter("socket_" + name + "_total",
+                          {{"loop", std::to_string(l)}})
+                 .value();
+    }
+    return sum;
+  };
+  const std::uint64_t fsm_violations = socket_total("fsm_violations");
+  const std::uint64_t protocol_errors = socket_total("protocol_errors");
+  const std::uint64_t idle_closed = socket_total("idle_closed");
+  check("fsm_violations_zero", fsm_violations == 0,
+        std::to_string(fsm_violations) + " violations");
   if (cfg.fault_kill) {
     check("kills_fired", totals.kills.load() > 0,
           std::to_string(totals.kills.load()) + " children killed");
   }
   if (cfg.fault_malformed || cfg.fault_halfclose) {
-    check("protocol_errors_fired", sstats.protocol_errors > 0,
-          std::to_string(sstats.protocol_errors) + " protocol errors");
+    check("protocol_errors_fired", protocol_errors > 0,
+          std::to_string(protocol_errors) + " protocol errors");
   }
   if (cfg.fault_neverread) {
-    check("idle_reaper_fired", sstats.idle_closed > 0,
-          std::to_string(sstats.idle_closed) + " idle closes");
+    check("idle_reaper_fired", idle_closed > 0,
+          std::to_string(idle_closed) + " idle closes");
   }
   check("monitor_scraped", totals.scrapes_ok.load() > 0,
         std::to_string(totals.scrapes_ok.load()) + " scrapes");
@@ -934,13 +947,13 @@ int main(int argc, char** argv) {
          << ", \"neverread_sessions\": " << totals.neverread_sessions.load()
          << ", \"malformed_sent\": " << totals.malformed_sent.load()
          << "},\n";
-  report << "  \"server\": {\"accepted\": " << sstats.accepted
-         << ", \"closed\": " << sstats.closed
-         << ", \"requests\": " << sstats.requests
-         << ", \"responses\": " << sstats.responses
-         << ", \"protocol_errors\": " << sstats.protocol_errors
-         << ", \"idle_closed\": " << sstats.idle_closed
-         << ", \"fsm_violations\": " << sstats.fsm_violations << "},\n";
+  report << "  \"server\": {\"accepted\": " << socket_total("accepted")
+         << ", \"closed\": " << socket_total("closed")
+         << ", \"requests\": " << socket_total("requests")
+         << ", \"responses\": " << socket_total("responses")
+         << ", \"protocol_errors\": " << protocol_errors
+         << ", \"idle_closed\": " << idle_closed
+         << ", \"fsm_violations\": " << fsm_violations << "},\n";
   {
     std::lock_guard lock(samples_mu);
     report << "  \"resources\": {\"fd_baseline\": " << fd_baseline

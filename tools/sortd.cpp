@@ -4,8 +4,9 @@
 //
 //   tool_sortd --rate 50000 --duration-s 2        synthetic Poisson load:
 //     submits random valid measurement rounds at the given arrival rate for
-//     the given duration, then prints the service metrics JSON (request and
-//     batch counters, lane occupancy, p50/p99 latency).
+//     the given duration, then prints the offered rate and throughput with
+//     the service's registry JSON under "service" (serve_*_total counters,
+//     serve_batch_lanes occupancy, serve_latency_ns percentiles).
 //
 //   tool_sortd --stdin                            text pipe mode:
 //     each input line is one round of whitespace-separated integers; every
@@ -368,9 +369,9 @@ int run_load(SortService& service, int channels, std::size_t bits,
   std::cout << "{\"offered_rate\": " << rate
             << ", \"elapsed_s\": " << elapsed << ", \"throughput_vps\": "
             << static_cast<double>(completed) / elapsed
-            << ",\n \"service\": " << service.metrics_json() << "}\n";
-  // The bench JSON above keeps its schema for scripts; the registry
-  // document goes to stderr like every other mode.
+            << ",\n \"service\": " << service.registry().json() << "}\n";
+  // The full stats document (registry plus slow-request ring) goes to
+  // stderr like every other mode.
   dump_stats(service);
   return 0;
 }
