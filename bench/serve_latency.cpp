@@ -115,9 +115,9 @@ std::vector<double> parse_list(const std::string& csv) {
 }
 
 /// Naive baseline: `threads` threads, each building its own McSorter and
-/// running a scalar Evaluator over its netlist once per round — every
-/// request pays a full scalar netlist evaluation. `digest` is the XOR of
-/// per-round result hashes (order-independent).
+/// running a scalar NodeWalkEvaluator over its netlist once per round —
+/// every request pays a full scalar netlist evaluation. `digest` is the XOR
+/// of per-round result hashes (order-independent).
 double naive_vps(int threads, int channels, std::size_t bits,
                  const std::vector<std::vector<Word>>& rounds,
                  std::uint64_t& digest) {
@@ -127,7 +127,7 @@ double naive_vps(int threads, int channels, std::size_t bits,
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
       const McSorter sorter(channels, bits);
-      Evaluator eval(sorter.netlist());
+      NodeWalkEvaluator eval(sorter.netlist());
       std::vector<Trit> in;
       Word out;
       for (std::size_t i = static_cast<std::size_t>(t); i < rounds.size();

@@ -2,10 +2,10 @@
 // 10-channel, 8-bit (10-sortd, B=8) metastability-containing sorter swept
 // over random valid measurement rounds.
 //
-// Compares the legacy scalar node-walking evaluator against the compiled,
-// levelized engine at every backend width (scalar, 64-lane, 256-lane batch,
-// threaded batch) and emits machine-readable JSON so the perf trajectory can
-// be tracked across PRs:
+// Compares the scalar node-walking evaluator against the compiled,
+// levelized engine on its lane backends (64-lane, 256-lane batch, threaded
+// batch) and emits machine-readable JSON so the perf trajectory can be
+// tracked across commits:
 //
 //   bench_sim_throughput [--vectors N] [--bits B] [--channels C]
 //                        [--threads T]   (batch_compiled_mt parallelism;
@@ -127,19 +127,6 @@ int main(int argc, char** argv) {
 
   results.push_back(run_engine("scalar_nodewalk", n_vectors, [&] {
     NodeWalkEvaluator ev(nl);
-    std::vector<Trit> in;
-    Word out;
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const Word& w : corpus) {
-      in.assign(w.begin(), w.end());
-      ev.run_outputs(in, out);
-      h = fnv1a(h, out);
-    }
-    return h;
-  }));
-
-  results.push_back(run_engine("scalar_compiled", n_vectors, [&] {
-    Evaluator ev(nl);
     std::vector<Trit> in;
     Word out;
     std::uint64_t h = 0xcbf29ce484222325ULL;

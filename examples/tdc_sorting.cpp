@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
   std::cout << "MC sorter:     " << compute_stats(sorter) << "\n";
   std::cout << "binary sorter: " << compute_stats(binary) << "\n\n";
 
-  Evaluator mc_eval(sorter);
-  Evaluator bin_eval(binary);
+  NodeWalkEvaluator mc_eval(sorter);
+  NodeWalkEvaluator bin_eval(binary);
 
   long marginal_rounds = 0;
   long contained = 0;

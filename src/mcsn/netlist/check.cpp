@@ -14,7 +14,7 @@ std::string CheckFailure::describe() const {
 std::optional<CheckFailure> check_against_spec(
     const Netlist& nl, const std::function<Word(const Word&)>& spec,
     const std::function<std::optional<Word>()>& generator) {
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word out;
   std::vector<Trit> in;
   while (auto w = generator()) {
@@ -28,7 +28,7 @@ std::optional<CheckFailure> check_against_spec(
 
 std::optional<CheckFailure> check_refinement_monotone(
     const Netlist& nl, const std::function<std::optional<Word>()>& generator) {
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word base_out, res_out;
   std::vector<Trit> in;
   std::optional<CheckFailure> fail;

@@ -11,36 +11,31 @@
 
 namespace mcsn {
 
-CompiledProgram CompiledProgram::compile(const Netlist& nl,
-                                         const CompileOptions& opt) {
+CompiledProgram CompiledProgram::compile(const Netlist& nl) {
   const std::vector<GateNode>& nodes = nl.nodes();
   const std::size_t n = nodes.size();
   CompiledProgram p;
-  p.slot_of_node_.assign(n, kNoSlot);
+  std::vector<std::uint32_t> slot_of_node(n, kNoSlot);
 
-  // 1. Liveness: reverse reachability from the outputs (unless disabled).
+  // 1. Liveness: reverse reachability from the outputs.
   std::vector<char> live(n, 0);
-  if (opt.retain_all_nodes || !opt.eliminate_dead) {
-    std::fill(live.begin(), live.end(), 1);
-  } else {
-    std::vector<NodeId> stack;
-    stack.reserve(nl.outputs().size());
-    for (const OutputPort& out : nl.outputs()) {
-      if (!live[out.node]) {
-        live[out.node] = 1;
-        stack.push_back(out.node);
-      }
+  std::vector<NodeId> stack;
+  stack.reserve(nl.outputs().size());
+  for (const OutputPort& out : nl.outputs()) {
+    if (!live[out.node]) {
+      live[out.node] = 1;
+      stack.push_back(out.node);
     }
-    while (!stack.empty()) {
-      const NodeId id = stack.back();
-      stack.pop_back();
-      const GateNode& g = nodes[id];
-      const int arity = cell_arity(g.kind);
-      for (int j = 0; j < arity; ++j) {
-        if (!live[g.in[j]]) {
-          live[g.in[j]] = 1;
-          stack.push_back(g.in[j]);
-        }
+  }
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    const GateNode& g = nodes[id];
+    const int arity = cell_arity(g.kind);
+    for (int j = 0; j < arity; ++j) {
+      if (!live[g.in[j]]) {
+        live[g.in[j]] = 1;
+        stack.push_back(g.in[j]);
       }
     }
   }
@@ -61,138 +56,116 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
     max_level = std::max(max_level, level[id]);
   }
 
-  // 3. Slot assignment. retain_all_nodes keeps the identity mapping.
-  // Otherwise live inputs take the first slots, then live constants, and
-  // gates draw from a free list in schedule order. A value's slot returns
-  // to the list once the last step that reads it has run, where a step is
-  // a level (levelized) or one op (creation order), so only a strictly
-  // later step can take it: ops of one level never clobber each other's
-  // operands, which keeps level_ops() slicing safe. Some values are
-  // pinned, their slot never handed out again: constants (materialized
-  // once per executor, not per run), outputs (read after the last op) and
-  // values nothing reads (so no write ever lands on an unread value).
-  std::vector<NodeId> gate_order;
-  gate_order.reserve(n);
+  // 3. Schedule: live gates by level, creation order within a level (a
+  // stable counting sort).
+  std::vector<std::size_t> first(max_level + 2, 0);
   for (NodeId id = 0; id < n; ++id) {
-    if (live[id] && is_gate(nodes[id].kind)) gate_order.push_back(id);
+    if (live[id] && is_gate(nodes[id].kind)) ++first[level[id] + 1];
   }
-  if (opt.levelize) {
-    // Stable counting sort by level (creation order within a level).
-    std::vector<std::size_t> first(max_level + 2, 0);
-    for (const NodeId id : gate_order) ++first[level[id] + 1];
-    for (std::size_t l = 1; l < first.size(); ++l) first[l] += first[l - 1];
-    std::vector<NodeId> by_level(gate_order.size());
-    for (const NodeId id : gate_order) by_level[first[level[id]]++] = id;
-    gate_order = std::move(by_level);
+  for (std::size_t l = 1; l < first.size(); ++l) first[l] += first[l - 1];
+  std::vector<NodeId> gate_order(first.back());
+  for (NodeId id = 0; id < n; ++id) {
+    if (live[id] && is_gate(nodes[id].kind)) {
+      gate_order[first[level[id]]++] = id;
+    }
   }
 
-  if (opt.retain_all_nodes) {
-    for (NodeId id = 0; id < n; ++id) p.slot_of_node_[id] = id;
-    p.slot_count_ = n;
-  } else {
-    constexpr std::uint32_t kPinned = 0xffffffffu;
-    constexpr std::uint32_t kNone = 0xffffffffu;
-    std::uint32_t next = 0;
-    for (const NodeId id : nl.inputs()) {
-      if (live[id]) p.slot_of_node_[id] = next++;
-    }
-    // step[id]: when the node's value is written (0 = before the first
-    // op); last[id]: the last step that reads it, or kPinned.
-    std::vector<std::uint32_t> step(n, 0);
-    for (std::size_t k = 0; k < gate_order.size(); ++k) {
-      step[gate_order[k]] = opt.levelize
-                                ? level[gate_order[k]]
-                                : static_cast<std::uint32_t>(k + 1);
-    }
-    std::vector<std::uint32_t> last(step);
-    for (const NodeId id : gate_order) {
-      const GateNode& g = nodes[id];
-      for (int j = 0; j < cell_arity(g.kind); ++j) {
-        last[g.in[j]] = std::max(last[g.in[j]], step[id]);
-      }
-    }
-    for (NodeId id = 0; id < n; ++id) {
-      if (last[id] == step[id]) last[id] = kPinned;  // nothing reads it
-      const CellKind k = nodes[id].kind;
-      if (live[id] && (k == CellKind::const0 || k == CellKind::const1)) {
-        p.slot_of_node_[id] = next++;
-        last[id] = kPinned;
-      }
-    }
-    for (const OutputPort& out : nl.outputs()) last[out.node] = kPinned;
-
-    // Values whose slot frees after step s, as intrusive lists.
-    const std::size_t steps =
-        opt.levelize ? max_level + 1 : gate_order.size() + 1;
-    std::vector<std::uint32_t> frees_head(steps, kNone);
-    std::vector<std::uint32_t> frees_next(n, kNone);
-    for (NodeId id = 0; id < n; ++id) {
-      if (!live[id] || last[id] == kPinned) continue;
-      frees_next[id] = frees_head[last[id]];
-      frees_head[last[id]] = id;
-    }
-    std::vector<std::uint32_t> free_slots;
-    free_slots.reserve(n);
-    std::uint32_t released = 0;  // steps [0, released) are on the list
-    for (const NodeId id : gate_order) {
-      for (; released < step[id]; ++released) {
-        for (std::uint32_t d = frees_head[released]; d != kNone;
-             d = frees_next[d]) {
-          free_slots.push_back(p.slot_of_node_[d]);
-        }
-      }
-      if (free_slots.empty()) {
-        p.slot_of_node_[id] = next++;
-      } else {
-        p.slot_of_node_[id] = free_slots.back();
-        free_slots.pop_back();
-      }
-    }
-    p.slot_count_ = next;
+  // 4. Slot assignment. Live inputs take the first slots, then live
+  // constants, and gates draw from a free list in schedule order. A
+  // value's slot returns to the list once the last level that reads it
+  // has run, so only a strictly later level can take it: ops of one level
+  // never clobber each other's operands. Some values are pinned, their
+  // slot never handed out again: constants (materialized once per
+  // executor, not per run), outputs (read after the last op) and values
+  // nothing reads (so no write ever lands on an unread value).
+  constexpr std::uint32_t kPinned = 0xffffffffu;
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  std::uint32_t next = 0;
+  for (const NodeId id : nl.inputs()) {
+    if (live[id]) slot_of_node[id] = next++;
   }
+  // last[id]: the last level that reads the node's value (its own level
+  // when nothing does), or kPinned.
+  std::vector<std::uint32_t> last(level);
+  for (const NodeId id : gate_order) {
+    const GateNode& g = nodes[id];
+    for (int j = 0; j < cell_arity(g.kind); ++j) {
+      last[g.in[j]] = std::max(last[g.in[j]], level[id]);
+    }
+  }
+  for (NodeId id = 0; id < n; ++id) {
+    if (last[id] == level[id]) last[id] = kPinned;  // nothing reads it
+    const CellKind k = nodes[id].kind;
+    if (live[id] && (k == CellKind::const0 || k == CellKind::const1)) {
+      slot_of_node[id] = next++;
+      last[id] = kPinned;
+    }
+  }
+  for (const OutputPort& out : nl.outputs()) last[out.node] = kPinned;
 
-  // 4. Constant initializers.
+  // Values whose slot frees after level l, as intrusive lists.
+  std::vector<std::uint32_t> frees_head(max_level + 1, kNone);
+  std::vector<std::uint32_t> frees_next(n, kNone);
+  for (NodeId id = 0; id < n; ++id) {
+    if (!live[id] || last[id] == kPinned) continue;
+    frees_next[id] = frees_head[last[id]];
+    frees_head[last[id]] = id;
+  }
+  std::vector<std::uint32_t> free_slots;
+  free_slots.reserve(n);
+  std::uint32_t released = 0;  // levels [0, released) are on the list
+  for (const NodeId id : gate_order) {
+    for (; released < level[id]; ++released) {
+      for (std::uint32_t d = frees_head[released]; d != kNone;
+           d = frees_next[d]) {
+        free_slots.push_back(slot_of_node[d]);
+      }
+    }
+    if (free_slots.empty()) {
+      slot_of_node[id] = next++;
+    } else {
+      slot_of_node[id] = free_slots.back();
+      free_slots.pop_back();
+    }
+  }
+  p.slot_count_ = next;
+
+  // 5. Constant initializers.
   for (NodeId id = 0; id < n; ++id) {
     if (!live[id]) continue;
     const CellKind k = nodes[id].kind;
     if (k == CellKind::const0 || k == CellKind::const1) {
       p.const_inits_.push_back(
-          {p.slot_of_node_[id],
-           k == CellKind::const1 ? Trit::one : Trit::zero});
+          {slot_of_node[id], k == CellKind::const1 ? Trit::one : Trit::zero});
     }
   }
 
-  // 5. Instruction stream. Unused fanin pins point at slot 0; the cell
-  // evaluators ignore operands beyond the cell's arity. Per-level offsets
-  // only exist for levelized schedules (creation order interleaves levels).
+  // 6. Instruction stream. Unused fanin pins point at slot 0; the cell
+  // evaluators ignore operands beyond the cell's arity. Gate levels are
+  // 1-based, so level l's ops are [first[l - 1], first[l]).
   p.ops_.reserve(gate_order.size());
-  if (opt.levelize) p.level_offsets_.assign(max_level + 1, 0);
   for (const NodeId id : gate_order) {
     const GateNode& g = nodes[id];
     const int arity = cell_arity(g.kind);
     CompiledOp op;
     op.kind = g.kind;
-    op.out = p.slot_of_node_[id];
+    op.out = slot_of_node[id];
     for (int j = 0; j < 3; ++j) {
       op.in[static_cast<std::size_t>(j)] =
-          j < arity ? p.slot_of_node_[g.in[j]] : 0;
+          j < arity ? slot_of_node[g.in[j]] : 0;
     }
-    // Gate levels are 1-based; bucket l holds ops of level l+1.
-    if (opt.levelize) ++p.level_offsets_[level[id] - 1 + 1];
     p.ops_.push_back(op);
   }
-  for (std::size_t l = 1; l < p.level_offsets_.size(); ++l) {
-    p.level_offsets_[l] += p.level_offsets_[l - 1];
-  }
+  p.level_offsets_.assign(first.begin(), first.end() - 1);
 
-  // 6. Outputs (always live by construction).
+  // 7. Outputs (always live by construction).
   p.output_slots_.reserve(nl.outputs().size());
   for (const OutputPort& out : nl.outputs()) {
-    p.output_slots_.push_back(p.slot_of_node_[out.node]);
+    p.output_slots_.push_back(slot_of_node[out.node]);
   }
   p.input_slots_.reserve(nl.inputs().size());
   for (const NodeId id : nl.inputs()) {
-    p.input_slots_.push_back(p.slot_of_node_[id]);
+    p.input_slots_.push_back(slot_of_node[id]);
   }
 
 #if !defined(NDEBUG) || defined(MCSN_VERIFY)
@@ -200,7 +173,7 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
   // freshly lowered program (see verify_ir.hpp). A failure here is a
   // compiler bug, not a caller error — abort loudly instead of handing an
   // unchecked instruction stream to the branch-free executors.
-  if (const Status s = verify_ir(p, verify_options_for(opt)); !s.ok()) {
+  if (const Status s = verify_ir(p); !s.ok()) {
     std::fprintf(stderr, "CompiledProgram::compile: %s\n",
                  s.to_string().c_str());
     std::abort();
@@ -210,7 +183,7 @@ CompiledProgram CompiledProgram::compile(const Netlist& nl,
 }
 
 BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchOptions& opt)
-    : prog_(CompiledProgram::compile(nl, opt.compile)),
+    : prog_(CompiledProgram::compile(nl)),
       parallel_(opt.threads > 0
                     ? opt.threads
                     : (opt.pool
@@ -255,9 +228,12 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
   constexpr std::size_t kLanes = Backend::kLanes;
   const std::size_t width = prog_.input_count();
   const std::size_t outs = prog_.output_count();
-  assert(width > 0 && inputs.size() % width == 0);
-  const std::size_t n = width == 0 ? 0 : inputs.size() / width;
-  assert(outputs.size() == n * outs);
+  // Without inputs the rows are counted by the output buffer: each one is
+  // a run of the (constant) program.
+  const std::size_t n = width > 0 ? inputs.size() / width
+                        : outs > 0 ? outputs.size() / outs
+                                   : 0;
+  assert(inputs.size() == n * width && outputs.size() == n * outs);
   if (n == 0) return;
   const std::size_t groups = (n + kLanes - 1) / kLanes;
 

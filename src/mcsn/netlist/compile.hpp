@@ -3,22 +3,21 @@
 // instruction stream executed by one templated engine over pluggable lane
 // backends.
 //
-// The node-walking evaluators in eval.hpp re-dispatch on CellKind per node
-// and chase GateNode fanins through the full node array on every call.
-// CompiledProgram pays those costs once:
+// NodeWalkEvaluator (eval.hpp) re-dispatches on CellKind per node and
+// chases GateNode fanins through the full node array on every call.
+// CompiledProgram pays those costs once, and every compile() produces the
+// same one program form:
 //
 //   * dead-node elimination  — gates no output depends on are dropped;
 //   * reused operand slots   — inputs, then constants, take the first slots;
 //                              each gate takes a slot freed by a value whose
-//                              last reader ran in an earlier level (an
-//                              earlier op without levelization), so the
+//                              last reader ran in an earlier level, so the
 //                              buffer holds only what is live at once (772
 //                              slots for 12,617 gates at 10x16). Constants
-//                              and outputs keep their slots. Under
-//                              retain_all_nodes, slot == NodeId instead;
+//                              and outputs keep their slots;
 //   * levelization           — gates are scheduled by logic level; ops within
 //                              one level are mutually independent, which
-//                              level_ops() exposes for parallel execution;
+//                              level_ops() exposes;
 //   * constant folding into initialization — tie cells are materialized once
 //                              per executor, not re-evaluated per run.
 //
@@ -50,20 +49,6 @@ struct CompiledOp {
   std::array<std::uint32_t, 3> in{0, 0, 0};
 };
 
-struct CompileOptions {
-  /// Drop gates that no output transitively depends on.
-  bool eliminate_dead = true;
-  /// Keep slot == NodeId for every node (implies no dead-node elimination).
-  /// Used by the eval.hpp compatibility wrappers, whose API exposes values
-  /// for all nodes indexable by NodeId.
-  bool retain_all_nodes = false;
-  /// Group the instruction stream by logic level (enables level_ops()
-  /// parallel slicing). Creation order (false) can have better operand
-  /// locality for narrow scalar replay; level order is the default for the
-  /// wide batch backends. Either order is a valid topological schedule.
-  bool levelize = true;
-};
-
 class CompiledProgram {
  public:
   /// Slot index marking a dead (eliminated) input.
@@ -74,11 +59,10 @@ class CompiledProgram {
     Trit value = Trit::zero;
   };
 
-  [[nodiscard]] static CompiledProgram compile(const Netlist& nl,
-                                               const CompileOptions& opt = {});
+  [[nodiscard]] static CompiledProgram compile(const Netlist& nl);
 
   /// Size of the value buffer an executor must provide: with reused slots,
-  /// the most values live at once; under retain_all_nodes, the node count.
+  /// the most values live at once.
   [[nodiscard]] std::size_t slot_count() const noexcept { return slot_count_; }
 
   [[nodiscard]] std::size_t input_count() const noexcept {
@@ -93,8 +77,7 @@ class CompiledProgram {
     return ops_;
   }
 
-  /// Number of logic levels (depth of the scheduled gate DAG). Zero when
-  /// the program was compiled with levelize = false.
+  /// Number of logic levels (depth of the scheduled gate DAG).
   [[nodiscard]] std::size_t level_count() const noexcept {
     return level_offsets_.empty() ? 0 : level_offsets_.size() - 1;
   }
@@ -123,14 +106,6 @@ class CompiledProgram {
     return const_inits_;
   }
 
-  /// Slot `id`'s value is written to, or kNoSlot if eliminated. The slot
-  /// holds that value only until a later op reuses it. Constants, outputs
-  /// and values nothing reads keep theirs to the end of run(), as does
-  /// every node under retain_all_nodes.
-  [[nodiscard]] std::uint32_t slot_of_node(NodeId id) const {
-    return slot_of_node_[id];
-  }
-
   /// Gates surviving dead-node elimination.
   [[nodiscard]] std::size_t live_gate_count() const noexcept {
     return ops_.size();
@@ -143,7 +118,6 @@ class CompiledProgram {
   std::vector<std::uint32_t> input_slots_;
   std::vector<std::uint32_t> output_slots_;
   std::vector<ConstInit> const_inits_;
-  std::vector<std::uint32_t> slot_of_node_;
 };
 
 // --- Lane backends ----------------------------------------------------------
@@ -239,14 +213,6 @@ class CompiledExecutor {
     return slots_;
   }
 
-  /// Full slot buffer from the last run (same span run() returned). Slots
-  /// are reused within a run, so a slot ends up holding the last value
-  /// written to it; only under retain_all_nodes is this every node's
-  /// value, indexable by NodeId.
-  [[nodiscard]] std::span<const Value> values() const noexcept {
-    return slots_;
-  }
-
   /// Value of output o (mark_output order) from the last run.
   [[nodiscard]] const Value& output(std::size_t o) const {
     return slots_[prog_->output_slots()[o]];
@@ -278,7 +244,6 @@ struct BatchOptions {
   /// evaluator lazily creates a private pool on first parallel run_flat()
   /// and keeps it — run_flat() never constructs threads per call either way.
   std::shared_ptr<ThreadPool> pool;
-  CompileOptions compile;
 };
 
 /// High-throughput evaluation of many input vectors: transposes them into
@@ -319,7 +284,9 @@ class BatchEvaluator {
   /// straight from the flat input into lanes and back into the flat
   /// output, and a trailing partial group is handled transparently.
   /// Preconditions (asserted): inputs.size() divisible by input_width(),
-  /// outputs sized to match. Thread-safe: concurrent calls share the pool.
+  /// outputs sized to match; with no inputs, outputs.size() /
+  /// output_width() rows are evaluated. Thread-safe: concurrent calls
+  /// share the pool.
   void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
 
  private:

@@ -1,7 +1,9 @@
 #include "mcsn/netlist/equiv.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
+#include <span>
+#include <vector>
 
 #include "mcsn/netlist/compile.hpp"
 #include "mcsn/util/rng.hpp"
@@ -10,14 +12,18 @@ namespace mcsn {
 
 namespace {
 
-// Decodes combination index `v` into an input word over the given radix
+// Decodes combination index `v` into one input row over the given radix
 // alphabet (radix 2: {0,1}; radix 3: {0,1,M}).
-Word decode_input(std::uint64_t v, std::size_t width, int radix) {
-  Word w(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    w[i] = trit_from_index(static_cast<int>(v % static_cast<unsigned>(radix)));
+void decode_input(std::uint64_t v, std::span<Trit> row, int radix) {
+  for (Trit& t : row) {
+    t = trit_from_index(static_cast<int>(v % static_cast<unsigned>(radix)));
     v /= static_cast<unsigned>(radix);
   }
+}
+
+Word to_word(std::span<const Trit> trits) {
+  Word w(trits.size());
+  for (std::size_t i = 0; i < trits.size(); ++i) w[i] = trits[i];
   return w;
 }
 
@@ -46,55 +52,53 @@ std::optional<EquivMismatch> check_equivalence(const Netlist& a,
   }
   const bool exhaustive = !overflow && total <= opt.exhaustive_bound;
 
-  // Both netlists compile to dense, dead-node-eliminated programs executed
-  // 256 vectors per pass by the wide compiled engine.
-  const CompiledProgram pa = CompiledProgram::compile(a);
-  const CompiledProgram pb = CompiledProgram::compile(b);
-  CompiledExecutor<Packed256Backend> eva(pa);
-  CompiledExecutor<Packed256Backend> evb(pb);
-  constexpr int kLanes = Packed256Backend::kLanes;
-  std::vector<PackedTrit256> inputs(width);
-  std::vector<Word> lane_words(kLanes, Word(width));
+  // Both netlists compile to dense, dead-node-eliminated programs; each
+  // chunk of vectors goes through both in one flat run_flat() call, and the
+  // vectors are compared in generation order, so the first mismatch found
+  // is the first mismatching vector.
+  const BatchOptions serial{.threads = 1, .pool = nullptr};
+  const BatchEvaluator eva(a, serial);
+  const BatchEvaluator evb(b, serial);
+  constexpr std::uint64_t kChunk = 4096;
+  std::vector<Trit> inputs;
+  std::vector<Trit> out_a;
+  std::vector<Trit> out_b;
 
   Xoshiro256 rng(opt.seed);
   const std::uint64_t n_vectors = exhaustive ? total : opt.random_samples;
 
-  std::uint64_t done = 0;
-  while (done < n_vectors) {
-    const int lanes = static_cast<int>(
-        std::min<std::uint64_t>(kLanes, n_vectors - done));
-    for (int lane = 0; lane < lanes; ++lane) {
-      Word w(width);
+  for (std::uint64_t done = 0; done < n_vectors;) {
+    const std::size_t count =
+        static_cast<std::size_t>(std::min(kChunk, n_vectors - done));
+    inputs.resize(count * width);
+    for (std::size_t v = 0; v < count; ++v) {
+      const std::span<Trit> row =
+          std::span<Trit>(inputs).subspan(v * width, width);
       if (exhaustive) {
-        w = decode_input(done + static_cast<std::uint64_t>(lane), width,
-                         radix);
+        decode_input(done + v, row, radix);
       } else {
-        for (std::size_t i = 0; i < width; ++i) {
-          w[i] = trit_from_index(
+        for (Trit& t : row) {
+          t = trit_from_index(
               static_cast<int>(rng.below(static_cast<unsigned>(radix))));
         }
       }
-      lane_words[static_cast<std::size_t>(lane)] = w;
-      for (std::size_t i = 0; i < width; ++i) {
-        inputs[i].set_lane(lane, w[i]);
+    }
+    out_a.resize(count * outs);
+    out_b.resize(count * outs);
+    eva.run_flat(inputs, out_a);
+    evb.run_flat(inputs, out_b);
+    const std::span<const Trit> in_rows(inputs);
+    const std::span<const Trit> a_rows(out_a);
+    const std::span<const Trit> b_rows(out_b);
+    for (std::size_t v = 0; v < count; ++v) {
+      const std::span<const Trit> ra = a_rows.subspan(v * outs, outs);
+      const std::span<const Trit> rb = b_rows.subspan(v * outs, outs);
+      if (!std::equal(ra.begin(), ra.end(), rb.begin())) {
+        return EquivMismatch{to_word(in_rows.subspan(v * width, width)),
+                             to_word(ra), to_word(rb)};
       }
     }
-    eva.run(inputs);
-    evb.run(inputs);
-    for (int lane = 0; lane < lanes; ++lane) {
-      for (std::size_t o = 0; o < outs; ++o) {
-        if (eva.output_lane(o, lane) != evb.output_lane(o, lane)) {
-          Word oa(outs), ob(outs);
-          for (std::size_t k = 0; k < outs; ++k) {
-            oa[k] = eva.output_lane(k, lane);
-            ob[k] = evb.output_lane(k, lane);
-          }
-          return EquivMismatch{lane_words[static_cast<std::size_t>(lane)], oa,
-                               ob};
-        }
-      }
-    }
-    done += static_cast<std::uint64_t>(lanes);
+    done += count;
   }
   return std::nullopt;
 }

@@ -10,8 +10,9 @@
 // exactly why the paper's flow disables Boolean optimization); the checker
 // distinguishes the two and returns a witness input on mismatch.
 //
-// Exhaustive up to a guarded input count (using the 64-lane packed evaluator
-// to cover 64 vectors per pass); randomized sampling above that.
+// Exhaustive up to a guarded input count (flat vector chunks through
+// BatchEvaluator::run_flat, 256 lanes per pass); randomized sampling above
+// that.
 
 #include <optional>
 #include <string>

@@ -6,9 +6,8 @@ namespace mcsn {
 
 namespace {
 
-template <typename V, V (*EvalFn)(CellKind, V, V, V), V (*Splat)(Trit)>
-void eval_pass(const Netlist& nl, std::span<const V> inputs,
-               std::vector<V>& values) {
+void eval_pass(const Netlist& nl, std::span<const Trit> inputs,
+               std::vector<Trit>& values) {
   assert(inputs.size() == nl.inputs().size());
   values.resize(nl.node_count());
   std::size_t next_input = 0;
@@ -17,24 +16,13 @@ void eval_pass(const Netlist& nl, std::span<const V> inputs,
     const GateNode& g = nodes[id];
     switch (g.kind) {
       case CellKind::input: values[id] = inputs[next_input++]; break;
-      case CellKind::const0: values[id] = Splat(Trit::zero); break;
-      case CellKind::const1: values[id] = Splat(Trit::one); break;
+      case CellKind::const0: values[id] = Trit::zero; break;
+      case CellKind::const1: values[id] = Trit::one; break;
       default:
-        values[id] =
-            EvalFn(g.kind, values[g.in[0]], values[g.in[1]], values[g.in[2]]);
+        values[id] = cell_eval(g.kind, values[g.in[0]], values[g.in[1]],
+                               values[g.in[2]]);
     }
   }
-}
-
-Trit splat_trit(Trit t) { return t; }
-
-constexpr CompileOptions retain_all() {
-  CompileOptions opt;
-  opt.retain_all_nodes = true;
-  // Creation order matches the NodeId-indexed slot layout, keeping operand
-  // locality for the narrow scalar/64-lane replay these wrappers serve.
-  opt.levelize = false;
-  return opt;
 }
 
 }  // namespace
@@ -42,7 +30,7 @@ constexpr CompileOptions retain_all() {
 std::vector<Trit> evaluate_nodes(const Netlist& nl,
                                  std::span<const Trit> inputs) {
   std::vector<Trit> values;
-  eval_pass<Trit, &cell_eval, &splat_trit>(nl, inputs, values);
+  eval_pass(nl, inputs, values);
   return values;
 }
 
@@ -65,7 +53,7 @@ NodeWalkEvaluator::NodeWalkEvaluator(const Netlist& nl) : nl_(&nl) {
 }
 
 std::span<const Trit> NodeWalkEvaluator::run(std::span<const Trit> inputs) {
-  eval_pass<Trit, &cell_eval, &splat_trit>(*nl_, inputs, values_);
+  eval_pass(*nl_, inputs, values_);
   return values_;
 }
 
@@ -76,40 +64,6 @@ void NodeWalkEvaluator::run_outputs(std::span<const Trit> inputs, Word& out) {
   for (std::size_t i = 0; i < outs.size(); ++i) {
     out[i] = values_[outs[i].node];
   }
-}
-
-Evaluator::Evaluator(const Netlist& nl)
-    : nl_(&nl),
-      prog_(std::make_shared<const CompiledProgram>(
-          CompiledProgram::compile(nl, retain_all()))),
-      exec_(*prog_) {}
-
-std::span<const Trit> Evaluator::run(std::span<const Trit> inputs) {
-  return exec_.run(inputs);
-}
-
-void Evaluator::run_outputs(std::span<const Trit> inputs, Word& out) {
-  const std::span<const Trit> values = exec_.run(inputs);
-  const auto& outs = nl_->outputs();
-  if (out.size() != outs.size()) out = Word(outs.size());
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    out[i] = values[outs[i].node];
-  }
-}
-
-PackedEvaluator::PackedEvaluator(const Netlist& nl)
-    : nl_(&nl),
-      prog_(std::make_shared<const CompiledProgram>(
-          CompiledProgram::compile(nl, retain_all()))),
-      exec_(*prog_) {}
-
-std::span<const PackedTrit> PackedEvaluator::run(
-    std::span<const PackedTrit> inputs) {
-  return exec_.run(inputs);
-}
-
-Trit PackedEvaluator::output_lane(std::size_t o, int lane) const {
-  return exec_.values()[nl_->outputs()[o].node].lane(lane);
 }
 
 }  // namespace mcsn

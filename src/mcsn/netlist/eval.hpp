@@ -2,19 +2,15 @@
 // Netlist evaluation under the ternary (metastable closure) semantics of the
 // paper's computational model.
 //
-// Evaluator and PackedEvaluator are thin instantiations of the compiled,
-// levelized engine in compile.hpp (one templated executor, different lane
-// backends); their node-value API is unchanged from the original
-// pointer-chasing implementation, which survives as NodeWalkEvaluator — the
-// differential-testing baseline and benchmark comparator.
+// NodeWalkEvaluator is the single-vector evaluator: it walks the nodes in
+// creation order and dispatches on CellKind per node. It is the reference
+// that the compiled engine in compile.hpp (CompiledExecutor, BatchEvaluator)
+// is differentially tested and benchmarked against.
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "mcsn/core/packed.hpp"
 #include "mcsn/core/word.hpp"
-#include "mcsn/netlist/compile.hpp"
 #include "mcsn/netlist/netlist.hpp"
 
 namespace mcsn {
@@ -30,10 +26,9 @@ namespace mcsn {
 /// Convenience: input vector given as a Word.
 [[nodiscard]] Word evaluate(const Netlist& nl, const Word& inputs);
 
-/// The legacy node-walking evaluator: dispatches on CellKind per node on
-/// every call, no dead-node elimination. Kept as the reference
-/// implementation the compiled engine is differentially tested (and
-/// benchmarked) against.
+/// Reusable node-walking evaluator: dispatches on CellKind per node on
+/// every call, no dead-node elimination, no compile step. Amortizes
+/// allocation across calls — use it for exhaustive sweeps over one netlist.
 class NodeWalkEvaluator {
  public:
   explicit NodeWalkEvaluator(const Netlist& nl);
@@ -47,50 +42,6 @@ class NodeWalkEvaluator {
  private:
   const Netlist* nl_;
   std::vector<Trit> values_;
-};
-
-/// Reusable evaluator that amortizes compilation and allocation across
-/// calls — preferred in exhaustive test sweeps and benchmarks. Backed by the
-/// compiled engine (scalar backend, all nodes retained so run() stays
-/// NodeId-indexable).
-class Evaluator {
- public:
-  explicit Evaluator(const Netlist& nl);
-
-  /// Returns node values (indexable by NodeId); valid until the next run().
-  std::span<const Trit> run(std::span<const Trit> inputs);
-
-  /// Runs and copies outputs into `out` (resized as needed).
-  void run_outputs(std::span<const Trit> inputs, Word& out);
-
- private:
-  const Netlist* nl_;
-  // shared_ptr keeps the program address stable across moves (the executor
-  // holds a pointer into it); vector<Evaluator> must stay movable.
-  std::shared_ptr<const CompiledProgram> prog_;
-  CompiledExecutor<ScalarBackend> exec_;
-};
-
-/// 64-lane packed evaluator: lane k of every input PackedTrit forms one
-/// independent input vector; outputs come back lane-aligned. Backed by the
-/// compiled engine (64-lane backend).
-class PackedEvaluator {
- public:
-  explicit PackedEvaluator(const Netlist& nl);
-
-  std::span<const PackedTrit> run(std::span<const PackedTrit> inputs);
-
-  [[nodiscard]] std::span<const PackedTrit> last_values() const {
-    return exec_.values();
-  }
-
-  /// Extracts output `o`, lane `lane` from the last run.
-  [[nodiscard]] Trit output_lane(std::size_t o, int lane) const;
-
- private:
-  const Netlist* nl_;
-  std::shared_ptr<const CompiledProgram> prog_;
-  CompiledExecutor<Packed64Backend> exec_;
 };
 
 }  // namespace mcsn

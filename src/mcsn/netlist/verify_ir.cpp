@@ -38,8 +38,8 @@ IrImage ir_image_of(const CompiledProgram& prog) {
   IrImage ir;
   ir.slot_count = prog.slot_count();
   ir.ops.assign(prog.ops().begin(), prog.ops().end());
-  for (std::size_t l = 0; l + 1 <= prog.level_count(); ++l) {
-    if (ir.level_offsets.empty()) ir.level_offsets.push_back(0);
+  ir.level_offsets.push_back(0);
+  for (std::size_t l = 0; l < prog.level_count(); ++l) {
     ir.level_offsets.push_back(ir.level_offsets.back() +
                                prog.level_ops(l).size());
   }
@@ -50,34 +50,30 @@ IrImage ir_image_of(const CompiledProgram& prog) {
   return ir;
 }
 
-Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
+Status verify_ir(const IrImage& ir) {
   const std::size_t n_ops = ir.ops.size();
 
   // --- level-structure: level_offsets is a monotone partition of ops.
   if (ir.level_offsets.empty()) {
-    if (opt.require_levelized) {
+    return fail("level-structure",
+                "level_offsets is empty; a levelized program has at least "
+                "{0}");
+  }
+  if (ir.level_offsets.front() != 0) {
+    return fail("level-structure",
+                "level_offsets[0] = " +
+                    std::to_string(ir.level_offsets.front()) + ", want 0");
+  }
+  if (ir.level_offsets.back() != n_ops) {
+    return fail("level-structure",
+                "level_offsets.back() = " +
+                    std::to_string(ir.level_offsets.back()) + ", want " +
+                    std::to_string(n_ops) + " (the op count)");
+  }
+  for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
+    if (ir.level_offsets[l] > ir.level_offsets[l + 1]) {
       return fail("level-structure",
-                  "program is not levelized but a levelized schedule was "
-                  "required");
-    }
-  } else {
-    if (ir.level_offsets.front() != 0) {
-      return fail("level-structure",
-                  "level_offsets[0] = " +
-                      std::to_string(ir.level_offsets.front()) + ", want 0");
-    }
-    if (ir.level_offsets.back() != n_ops) {
-      return fail("level-structure",
-                  "level_offsets.back() = " +
-                      std::to_string(ir.level_offsets.back()) + ", want " +
-                      std::to_string(n_ops) + " (the op count)");
-    }
-    for (std::size_t l = 0; l + 1 < ir.level_offsets.size(); ++l) {
-      if (ir.level_offsets[l] > ir.level_offsets[l + 1]) {
-        return fail("level-structure",
-                    "level_offsets not monotone at level " +
-                        std::to_string(l));
-      }
+                  "level_offsets not monotone at level " + std::to_string(l));
     }
   }
 
@@ -136,9 +132,8 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
   }
 
   // --- Slot writes, replayed in schedule order. A step is a level (1-based;
-  // inputs and constants are step 0) in a levelized program, one op in a
-  // creation-order one. Per slot: the current value's writer and step, and
-  // the last step that read it.
+  // inputs and constants are step 0). Per slot: the current value's writer
+  // and step, and the last step that read it.
   std::vector<char> ever_written(ir.slot_count, 0);
   std::vector<char> pinned_const(ir.slot_count, 0);
   std::vector<char> pinned_output(ir.slot_count, 0);
@@ -161,8 +156,8 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
   // output slot may hold temporaries before its output, but a write never
   // lands on a value nothing has read, so the output, once written, stays
   // to the end of run(). early-reuse: a slot is rewritten only in a step
-  // strictly after its current value was written and last read — ops of
-  // one level run concurrently under level_ops().
+  // strictly after its current value was written and last read, so the
+  // ops of one level never clobber each other's operands.
   const auto record_write = [&](std::uint32_t slot, std::size_t tag,
                                 std::size_t step) -> Status {
     if (writer[slot] != kUnwritten) {
@@ -208,16 +203,13 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
   // actually reads (per cell_arity) must already hold a value — written by
   // an input, a const init, or an earlier op. A read of a slot nobody ever
   // writes is a dangling read; a read of a slot written only later is a
-  // schedule-order violation; in a levelized program, a read of a value
-  // written in the reader's own level is a level violation (level_ops()
-  // slicing assumes ops within one level are mutually independent).
-  const bool levelized = !ir.level_offsets.empty();
+  // schedule-order violation; a read of a value written in the reader's
+  // own level is a level violation (ops within one level must be mutually
+  // independent).
   std::size_t level = 0;
   for (std::size_t k = 0; k < n_ops; ++k) {
-    if (levelized) {
-      while (k >= ir.level_offsets[level + 1]) ++level;
-    }
-    const std::size_t step = levelized ? level + 1 : k + 1;
+    while (k >= ir.level_offsets[level + 1]) ++level;
+    const std::size_t step = level + 1;
     const CompiledOp& op = ir.ops[k];
     const int arity = cell_arity(op.kind);
     for (int j = 0; j < arity; ++j) {
@@ -267,39 +259,36 @@ Status verify_ir(const IrImage& ir, const VerifyIrOptions& opt) {
     }
   }
 
-  // --- orphan-op: with dead-node elimination on, every op must be
-  // transitively reachable from a declared output. One reverse pass over
+  // --- orphan-op: every op must be transitively reachable from a declared
+  // output. One reverse pass over
   // the stream tracks which slots hold a needed value: an op's write ends
   // the need for its slot (earlier writers of a reused slot fed other
   // readers) and starts the need for its operands.
-  if (opt.require_reachable) {
-    std::vector<char> needed(ir.slot_count, 0);
-    for (const std::uint32_t s : ir.output_slots) needed[s] = 1;
-    std::size_t orphan = n_ops;
-    for (std::size_t k = n_ops; k-- > 0;) {
-      const CompiledOp& op = ir.ops[k];
-      if (!needed[op.out]) {
-        orphan = k;
-        continue;
-      }
-      needed[op.out] = 0;
-      const int arity = cell_arity(op.kind);
-      for (int j = 0; j < arity; ++j) needed[op.in[j]] = 1;
+  std::vector<char> needed(ir.slot_count, 0);
+  for (const std::uint32_t s : ir.output_slots) needed[s] = 1;
+  std::size_t orphan = n_ops;
+  for (std::size_t k = n_ops; k-- > 0;) {
+    const CompiledOp& op = ir.ops[k];
+    if (!needed[op.out]) {
+      orphan = k;
+      continue;
     }
-    if (orphan < n_ops) {
-      return fail("orphan-op",
-                  "op #" + std::to_string(orphan) + " (out slot " +
-                      slot_str(ir.ops[orphan].out) +
-                      ") is unreachable from every declared output, but "
-                      "dead-node elimination was enabled");
-    }
+    needed[op.out] = 0;
+    const int arity = cell_arity(op.kind);
+    for (int j = 0; j < arity; ++j) needed[op.in[j]] = 1;
+  }
+  if (orphan < n_ops) {
+    return fail("orphan-op", "op #" + std::to_string(orphan) + " (out slot " +
+                                 slot_str(ir.ops[orphan].out) +
+                                 ") is unreachable from every declared "
+                                 "output");
   }
 
   return Status();
 }
 
-Status verify_ir(const CompiledProgram& prog, const VerifyIrOptions& opt) {
-  return verify_ir(ir_image_of(prog), opt);
+Status verify_ir(const CompiledProgram& prog) {
+  return verify_ir(ir_image_of(prog));
 }
 
 }  // namespace mcsn

@@ -14,21 +14,22 @@
 //   * gate stream    — the instruction stream contains only real gates
 //                      (no input/const kinds) with in-arity operands;
 //   * slot reuse     — compile() hands a slot to a new value once the old
-//                      one is dead. A step is a level (levelized) or one
-//                      op (creation order); a slot is rewritten only in a
-//                      step strictly after its current value was written
-//                      and last read, a const-init slot is written exactly
+//                      one is dead: a slot is rewritten only in a level
+//                      strictly after its current value was written and
+//                      last read, a const-init slot is written exactly
 //                      once, and a write to an output slot never lands on
 //                      a value nothing has read;
 //   * schedule order — every operand an op actually reads (per
 //                      cell_arity) was written strictly earlier in the
-//                      stream, and — for levelized programs — in a
-//                      strictly earlier level;
+//                      stream, in a strictly earlier level;
 //   * no holes       — every slot has a writer;
-//   * reachability   — every declared output has a writer, and (when the
-//                      program was compiled with dead-node elimination)
-//                      every op is transitively reachable from an output,
-//                      i.e. elimination left no orphan ops.
+//   * reachability   — every declared output has a writer, and every op
+//                      is transitively reachable from an output, i.e.
+//                      dead-node elimination left no orphan ops.
+//
+// compile() has one program form (levelized, dead nodes eliminated), so
+// there is one strictness: a program that is not levelized, or that keeps
+// an op no output needs, is rejected.
 //
 // Each violated invariant produces a distinct, greppable diagnostic token
 // in the Status message ("slot-bounds", "level-structure", "bad-op",
@@ -47,7 +48,7 @@
 // debug builds and in sanitizer builds (MCSN_VERIFY, defined by CMake
 // whenever MCSN_SANITIZE is set); release builds pay nothing. It is also
 // exposed as `tool_mcsverify`, which sweeps the whole catalog plus
-// composed/PPC-elaborated networks under every compile-option combination.
+// composed/PPC-elaborated networks.
 //
 // IrImage exists for negative testing: CompiledProgram's fields are
 // private and compile() only ever produces valid programs, so the
@@ -68,8 +69,7 @@ namespace mcsn {
 struct IrImage {
   std::size_t slot_count = 0;
   std::vector<CompiledOp> ops;
-  /// Level l's ops are [level_offsets[l], level_offsets[l + 1]); empty
-  /// means the program is not levelized (creation-order schedule).
+  /// Level l's ops are [level_offsets[l], level_offsets[l + 1]).
   std::vector<std::size_t> level_offsets;
   std::vector<std::uint32_t> input_slots;   // kNoSlot = dead input
   std::vector<std::uint32_t> output_slots;
@@ -79,35 +79,11 @@ struct IrImage {
 /// Snapshot of `prog` for mutation testing / standalone verification.
 [[nodiscard]] IrImage ir_image_of(const CompiledProgram& prog);
 
-struct VerifyIrOptions {
-  /// Require every op to be transitively reachable from a declared output
-  /// (dead-node elimination left no orphans). Turn off for programs
-  /// compiled with eliminate_dead = false or retain_all_nodes = true,
-  /// which intentionally keep dead gates.
-  bool require_reachable = true;
-  /// Require a levelized schedule (non-empty, consistent level_offsets
-  /// with every operand in a strictly earlier level). Turn off for
-  /// programs compiled with levelize = false; the strict
-  /// written-before-read stream order is checked either way.
-  bool require_levelized = true;
-};
-
-/// Matching options for how `opt` compiled the program.
-[[nodiscard]] constexpr VerifyIrOptions verify_options_for(
-    const CompileOptions& opt) noexcept {
-  return VerifyIrOptions{
-      .require_reachable = opt.eliminate_dead && !opt.retain_all_nodes,
-      .require_levelized = opt.levelize,
-  };
-}
-
 /// Checks every invariant above; OK, or the first violation found with a
 /// precise diagnostic. Runs in O(slots + ops) time and memory.
-[[nodiscard]] Status verify_ir(const IrImage& ir,
-                               const VerifyIrOptions& opt = {});
+[[nodiscard]] Status verify_ir(const IrImage& ir);
 
 /// Convenience overload over a live program (snapshots internally).
-[[nodiscard]] Status verify_ir(const CompiledProgram& prog,
-                               const VerifyIrOptions& opt = {});
+[[nodiscard]] Status verify_ir(const CompiledProgram& prog);
 
 }  // namespace mcsn

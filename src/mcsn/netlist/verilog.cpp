@@ -48,7 +48,7 @@ void write_verilog(std::ostream& os, const Netlist& nl) {
     if (nl.node(id).kind == CellKind::input) {
       wire[id] = sanitize(nl.input_name(next_input++));
     } else {
-      wire[id] = "n" + std::to_string(id);
+      wire[id] = std::string("n").append(std::to_string(id));
     }
   }
 

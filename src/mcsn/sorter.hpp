@@ -13,7 +13,7 @@
 // Every member function is const and safe to call concurrently from
 // multiple threads: each call runs its own executor over the shared
 // compiled program. Single-vector scalar evaluation of netlist() is
-// available through Evaluator (netlist/eval.hpp).
+// available through NodeWalkEvaluator (netlist/eval.hpp).
 
 #include <span>
 #include <string>

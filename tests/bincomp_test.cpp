@@ -15,7 +15,7 @@ TEST(Bincomp, SortsAllStablePairsExhaustively) {
   for (const std::size_t bits : {1u, 2u, 4u, 6u}) {
     const Netlist nl = make_bincomp(bits);
     ASSERT_TRUE(nl.validate());
-    Evaluator ev(nl);
+    NodeWalkEvaluator ev(nl);
     Word out;
     std::vector<Trit> in;
     const std::uint64_t n = std::uint64_t{1} << bits;

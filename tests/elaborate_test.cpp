@@ -46,7 +46,7 @@ TEST(Elaborate, FourSortExhaustiveSmall) {
   const std::size_t bits = 2;
   const Netlist nl = elaborate_network(optimal_4(), bits, sort2_builder());
   const std::vector<Word> all = all_valid_strings(bits);
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   for (std::size_t a = 0; a < all.size(); ++a) {
     for (std::size_t b = 0; b < all.size(); ++b) {
       for (std::size_t c = 0; c < all.size(); ++c) {

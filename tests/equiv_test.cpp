@@ -115,5 +115,18 @@ TEST(Equiv, DetectsSingleGateDifference) {
   EXPECT_NE(mismatch->output_a, mismatch->output_b);
 }
 
+// A netlist without inputs has one input vector, the empty one.
+TEST(Equiv, ConstantCircuitsWithoutInputs) {
+  Netlist zero("zero"), one("one");
+  zero.mark_output(zero.constant(false), "f");
+  one.mark_output(one.constant(true), "f");
+  EXPECT_FALSE(check_equivalence(zero, zero));
+  const auto mismatch = check_equivalence(zero, one);
+  ASSERT_TRUE(mismatch);
+  EXPECT_TRUE(mismatch->input.empty());
+  EXPECT_EQ(mismatch->output_a.str(), "0");
+  EXPECT_EQ(mismatch->output_b.str(), "1");
+}
+
 }  // namespace
 }  // namespace mcsn

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "mcsn/core/closure.hpp"
+#include "mcsn/netlist/compile.hpp"
 
 namespace mcsn {
 namespace {
@@ -81,7 +82,7 @@ TEST(Eval, EveryCellComputesItsClosure) {
 
 TEST(Eval, EvaluatorReuseMatchesOneShot) {
   const Netlist nl = mux_circuit();
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word out;
   for (const char* s : {"000", "101", "M11", "0M1", "11M"}) {
     const Word in = *Word::parse(s);
@@ -91,25 +92,25 @@ TEST(Eval, EvaluatorReuseMatchesOneShot) {
   }
 }
 
-// The compiled Evaluator and the legacy node-walker are interchangeable:
-// identical node values and outputs on the full ternary input space.
+// The compiled program on the scalar backend and the node walker are
+// interchangeable: identical outputs on the full ternary input space.
 TEST(Eval, CompiledEvaluatorMatchesNodeWalk) {
   const Netlist nl = mux_circuit();
-  Evaluator compiled(nl);
-  NodeWalkEvaluator legacy(nl);
-  Word a, b;
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  CompiledExecutor<ScalarBackend> compiled(prog);
+  NodeWalkEvaluator walk(nl);
+  Word want;
   for (const Trit x : kAllTrits) {
     for (const Trit y : kAllTrits) {
       for (const Trit s : kAllTrits) {
         const Trit in[3] = {x, y, s};
         const std::span<const Trit> span(in, 3);
-        compiled.run_outputs(span, a);
-        legacy.run_outputs(span, b);
-        ASSERT_EQ(a, b);
-        const std::span<const Trit> cv = compiled.run(span);
-        const std::span<const Trit> lv = legacy.run(span);
-        ASSERT_EQ(std::vector<Trit>(cv.begin(), cv.end()),
-                  std::vector<Trit>(lv.begin(), lv.end()));
+        compiled.run(span);
+        walk.run_outputs(span, want);
+        ASSERT_EQ(want.size(), prog.output_count());
+        for (std::size_t o = 0; o < want.size(); ++o) {
+          ASSERT_EQ(compiled.output_lane(o, 0), want[o]);
+        }
       }
     }
   }
@@ -133,7 +134,8 @@ TEST(Eval, PackedMatchesScalar) {
       }
     }
   }
-  PackedEvaluator pev(nl);
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  CompiledExecutor<Packed64Backend> pev(prog);
   pev.run(inputs);
   for (int l = 0; l < lane; ++l) {
     EXPECT_EQ(pev.output_lane(0, l), evaluate(nl, lanes[static_cast<std::size_t>(l)])[0])

@@ -20,7 +20,7 @@ TEST(Extrema, TwoInputMaxMinExhaustive) {
   for (const bool maximum : {true, false}) {
     const Netlist nl = make_extreme_tree(2, bits, maximum);
     ASSERT_TRUE(nl.mc_safe());
-    Evaluator ev(nl);
+    NodeWalkEvaluator ev(nl);
     Word out;
     std::vector<Trit> in;
     const std::vector<Word> all = all_valid_strings(bits);
@@ -44,7 +44,7 @@ TEST_P(ExtremaWide, RandomVectorsMatchRankExtreme) {
   for (const bool maximum : {true, false}) {
     const Netlist nl =
         make_extreme_tree(static_cast<std::size_t>(n), bits, maximum);
-    Evaluator ev(nl);
+    NodeWalkEvaluator ev(nl);
     Xoshiro256 rng(static_cast<std::uint64_t>(n) * 31 + maximum);
     Word out;
     std::vector<Trit> in;
@@ -81,7 +81,7 @@ TEST(Extrema, CostIsAboutHalfASort2PerNode) {
 TEST(Extrema, ContainmentSingleMarginalInput) {
   const std::size_t bits = 5;
   const Netlist nl = make_extreme_tree(4, bits, true);
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word out;
   std::vector<Trit> in;
   // The marginal input is the maximum: output must carry exactly its M.

@@ -24,7 +24,7 @@ TEST(Integration, AllImplementationsAgreeAtB10) {
   impls.push_back(make_sort2_naive_trees(bits));
   impls.push_back(make_sort2_date17_style(bits));
 
-  std::vector<Evaluator> evals;
+  std::vector<NodeWalkEvaluator> evals;
   evals.reserve(impls.size());
   for (const Netlist& nl : impls) evals.emplace_back(nl);
 
@@ -54,7 +54,7 @@ TEST(Integration, ContainmentThroughWholeNetwork) {
   const std::size_t bits = 6;
   const Netlist nl =
       elaborate_network(optimal_7(), bits, sort2_builder());
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Xoshiro256 rng(77);
   Word out;
   std::vector<Trit> in;

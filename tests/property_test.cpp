@@ -87,7 +87,7 @@ TEST(Property, Theorem41AllParenthesizations) {
 TEST(Property, Sort2RefinementMonotoneOnArbitraryTernary) {
   const std::size_t bits = 4;
   const Netlist nl = make_sort2(bits);
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Xoshiro256 rng(314);
   Word base_out, ref_out;
   std::vector<Trit> in;
@@ -155,7 +155,7 @@ TEST(Property, SortingTwiceEqualsSortingOnce) {
                        "twice" + std::to_string(c));
   }
 
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Xoshiro256 rng(99);
   Word out;
   std::vector<Trit> in;
@@ -175,8 +175,9 @@ TEST(Property, SortingTwiceEqualsSortingOnce) {
 TEST(Property, PackedScalarAgreementOnSort2) {
   const std::size_t bits = 16;
   const Netlist nl = make_sort2(bits);
-  Evaluator scalar(nl);
-  PackedEvaluator packed(nl);
+  NodeWalkEvaluator scalar(nl);
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  CompiledExecutor<Packed64Backend> packed(prog);
   Xoshiro256 rng(555);
   std::vector<PackedTrit> pin(2 * bits);
   std::vector<Word> words(64, Word(2 * bits));

@@ -16,7 +16,7 @@ namespace {
 
 void check_exhaustive(const Netlist& nl, std::size_t bits) {
   const std::vector<Word> all = all_valid_strings(bits);
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word out;
   std::vector<Trit> in;
   for (const Word& g : all) {

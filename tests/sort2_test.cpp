@@ -9,6 +9,7 @@
 #include "mcsn/core/spec.hpp"
 #include "mcsn/core/valid.hpp"
 #include "mcsn/netlist/check.hpp"
+#include "mcsn/netlist/compile.hpp"
 #include "mcsn/netlist/eval.hpp"
 #include "mcsn/netlist/stats.hpp"
 #include "mcsn/netlist/timing.hpp"
@@ -22,7 +23,7 @@ Word concat_inputs(const Word& g, const Word& h) { return g + h; }
 // Exhaustive check over all pairs of valid strings.
 void check_exhaustive(const Netlist& nl, std::size_t bits) {
   const std::vector<Word> all = all_valid_strings(bits);
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word out;
   std::vector<Trit> in;
   for (const Word& g : all) {
@@ -61,7 +62,8 @@ TEST_P(Sort2Topology, GateCountMatchesFormula) {
 TEST_P(Sort2Topology, PackedRandomSweep16Bits) {
   const std::size_t bits = 16;
   const Netlist nl = make_sort2(bits, Sort2Options{GetParam()});
-  PackedEvaluator ev(nl);
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  CompiledExecutor<Packed64Backend> ev(prog);
   Xoshiro256 rng(42);
   std::vector<PackedTrit> in(2 * bits);
   for (int batch = 0; batch < 8; ++batch) {
@@ -147,7 +149,7 @@ TEST(Sort2, RefinementMonotoneOnValidStrings) {
 TEST(Sort2, OutputsAreValidStrings) {
   const std::size_t bits = 6;
   const Netlist nl = make_sort2(bits);
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word out;
   const std::vector<Word> all = all_valid_strings(bits);
   std::vector<Trit> in;

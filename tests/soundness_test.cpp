@@ -35,7 +35,7 @@ bool abstracts(const Word& a, const Word& b) {
 TEST(Soundness, CircuitEqualsIdealClosureOnAllTernaryInputsUpToB4) {
   for (const std::size_t bits : {2u, 3u, 4u}) {
     const Netlist nl = make_sort2(bits);
-    Evaluator ev(nl);
+    NodeWalkEvaluator ev(nl);
     Word out;
     std::vector<Trit> in;
     std::uint64_t total = 1;
@@ -65,7 +65,7 @@ TEST(Soundness, CircuitEqualsIdealClosureOnAllTernaryInputsUpToB4) {
 TEST(Soundness, CircuitSoundOnRandomTernaryAtB8) {
   const std::size_t bits = 8;
   const Netlist nl = make_sort2(bits);
-  Evaluator ev(nl);
+  NodeWalkEvaluator ev(nl);
   Word out;
   std::vector<Trit> in;
   std::uint64_t seed = 12345;

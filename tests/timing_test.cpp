@@ -49,7 +49,9 @@ TEST(Timing, LoadDependentDelayGrowsWithFanout) {
     Netlist nl;
     const NodeId a = nl.add_input("a");
     const NodeId x = nl.inv(a);
-    for (int i = 0; i < k; ++i) nl.mark_output(nl.inv(x), "o" + std::to_string(i));
+    for (int i = 0; i < k; ++i) {
+      nl.mark_output(nl.inv(x), std::string("o").append(std::to_string(i)));
+    }
     return nl;
   };
   const auto& lib = CellLibrary::paper_calibrated();

@@ -1,7 +1,7 @@
 // Tests for the CompiledProgram IR verifier (netlist/verify_ir.hpp).
 //
 // Positive direction: every catalog network, elaborated under several
-// builders and compiled under every CompileOptions combination, must
+// builders and compiled to the one program form compile() produces, must
 // verify — including the programs actually held by each lane backend's
 // executor and by BatchEvaluator. Negative direction: a seeded mutation
 // suite perturbs a known-good IrImage one invariant at a time and
@@ -25,24 +25,14 @@
 namespace mcsn {
 namespace {
 
-const CompileOptions kModes[] = {
-    CompileOptions{},
-    CompileOptions{.levelize = false},
-    CompileOptions{.eliminate_dead = false},
-    CompileOptions{.retain_all_nodes = true},
-};
-
-TEST(VerifyIr, AllCatalogNetworksVerifyUnderEveryCompileMode) {
+TEST(VerifyIr, AllCatalogNetworksVerify) {
   for (const ComparatorNetwork& net : paper_networks()) {
     for (const std::size_t bits : {1u, 4u, 8u}) {
       const Netlist nl = elaborate_network(net, bits, sort2_builder(),
                                            net.name() + "_verify");
-      for (const CompileOptions& opt : kModes) {
-        const CompiledProgram prog = CompiledProgram::compile(nl, opt);
-        const Status s = verify_ir(prog, verify_options_for(opt));
-        EXPECT_TRUE(s.ok()) << net.name() << " bits=" << bits << ": "
-                            << s.to_string();
-      }
+      const Status s = verify_ir(CompiledProgram::compile(nl));
+      EXPECT_TRUE(s.ok()) << net.name() << " bits=" << bits << ": "
+                          << s.to_string();
     }
   }
 }
@@ -90,19 +80,6 @@ TEST(VerifyIr, EveryLaneBackendExecutesAVerifiedProgram) {
 
   const BatchEvaluator batch(nl);
   EXPECT_TRUE(verify_ir(batch.program()).ok());
-}
-
-TEST(VerifyIr, OptionsMapping) {
-  // retain_all_nodes keeps dead nodes: reachability must be off.
-  EXPECT_FALSE(
-      verify_options_for(CompileOptions{.retain_all_nodes = true})
-          .require_reachable);
-  EXPECT_FALSE(
-      verify_options_for(CompileOptions{.eliminate_dead = false})
-          .require_reachable);
-  EXPECT_TRUE(verify_options_for(CompileOptions{}).require_reachable);
-  EXPECT_FALSE(
-      verify_options_for(CompileOptions{.levelize = false}).require_levelized);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,10 +208,6 @@ TEST_F(VerifyIrMutation, OrphanOpIsCaught) {
   m.ops.push_back(op);
   m.level_offsets.back() += 1;
   expect_rejected(m, "orphan-op");
-
-  // The same mutant is LEGAL when the program was compiled without
-  // dead-node elimination — reachability is opt.-gated.
-  EXPECT_TRUE(verify_ir(m, VerifyIrOptions{.require_reachable = false}).ok());
 }
 
 TEST_F(VerifyIrMutation, OutOfBoundsSlotIsCaught) {
@@ -247,6 +220,12 @@ TEST_F(VerifyIrMutation, CorruptLevelOffsetsAreCaught) {
   IrImage m = clean_;
   m.level_offsets.back() += 1;
   expect_rejected(m, "level-structure");
+
+  // compile() always levelizes, so a program without a level partition is
+  // malformed, not a different mode.
+  IrImage cleared = clean_;
+  cleared.level_offsets.clear();
+  expect_rejected(cleared, "level-structure");
 }
 
 TEST_F(VerifyIrMutation, UnwrittenOutputIsCaught) {

@@ -10,6 +10,7 @@
 #include "mcsn/core/gray.hpp"
 #include "mcsn/core/spec.hpp"
 #include "mcsn/core/valid.hpp"
+#include "mcsn/netlist/compile.hpp"
 #include "mcsn/netlist/eval.hpp"
 #include "mcsn/netlist/timing.hpp"
 #include "mcsn/util/rng.hpp"
@@ -23,7 +24,8 @@ TEST_P(WideSort2, PackedRandomAgainstRankSpec) {
   const std::size_t bits = GetParam();
   const Netlist nl = make_sort2(bits);
   ASSERT_TRUE(nl.validate());
-  PackedEvaluator ev(nl);
+  const CompiledProgram prog = CompiledProgram::compile(nl);
+  CompiledExecutor<Packed64Backend> ev(prog);
   Xoshiro256 rng(bits);
   std::vector<PackedTrit> in(2 * bits);
   for (int batch = 0; batch < 4; ++batch) {

@@ -1,7 +1,7 @@
 // tool_mcsverify — sweeps the IR verifier (netlist/verify_ir.hpp) over
 // every network the repo can build: the paper catalog, the generator
 // families, and composed/PPC elaborations under every 2-sort builder and
-// PPC topology, each compiled under every CompileOptions combination.
+// PPC topology, each compiled to the one program form compile() produces.
 //
 //   tool_mcsverify                 full sweep (CI default)
 //   tool_mcsverify --quick         catalog networks at 4 bits only
@@ -95,18 +95,6 @@ std::vector<NamedBuilder> sweep_builders(bool quick) {
   return builders;
 }
 
-struct NamedCompile {
-  const char* name;
-  CompileOptions opt;
-};
-
-constexpr NamedCompile kCompileModes[] = {
-    {"default", CompileOptions{}},
-    {"creation-order", CompileOptions{.levelize = false}},
-    {"keep-dead", CompileOptions{.eliminate_dead = false}},
-    {"retain-all", CompileOptions{.retain_all_nodes = true}},
-};
-
 /// One seeded mutation per invariant class: perturb a known-good program
 /// and demand the verifier rejects it with the class's own diagnostic.
 /// Mirrors the gtest suite (tests/verify_ir_test.cpp) so the CI sweep
@@ -133,6 +121,8 @@ int run_mutation_selftest() {
                              ir.slot_count + 7); }},
       {"corrupt level offsets", "level-structure",
        [](IrImage& ir) { ir.level_offsets.back() += 1; }},
+      {"level offsets cleared", "level-structure",
+       [](IrImage& ir) { ir.level_offsets.clear(); }},
       {"slot rewritten in the level that reads it", "early-reuse",
        [](IrImage& ir) {
          // The last op of the first level with two or more ops writes the
@@ -265,19 +255,17 @@ int main(int argc, char** argv) {
           continue;
         }
         const Netlist nl = elaborate_network(net.net, b, builder.builder);
-        for (const NamedCompile& mode : kCompileModes) {
-          const CompiledProgram prog = CompiledProgram::compile(nl, mode.opt);
-          const Status s = verify_ir(prog, verify_options_for(mode.opt));
-          ++checked;
-          if (!s.ok()) {
-            ++failures;
-            std::fprintf(stderr, "FAIL %s/%s: %s\n", base.c_str(), mode.name,
-                         s.to_string().c_str());
-          } else if (verbose) {
-            std::printf("ok   %s/%s (%zu slots, %zu ops, %zu levels)\n",
-                        base.c_str(), mode.name, prog.slot_count(),
-                        prog.ops().size(), prog.level_count());
-          }
+        const CompiledProgram prog = CompiledProgram::compile(nl);
+        const Status s = verify_ir(prog);
+        ++checked;
+        if (!s.ok()) {
+          ++failures;
+          std::fprintf(stderr, "FAIL %s: %s\n", base.c_str(),
+                       s.to_string().c_str());
+        } else if (verbose) {
+          std::printf("ok   %s (%zu slots, %zu ops, %zu levels)\n",
+                      base.c_str(), prog.slot_count(), prog.ops().size(),
+                      prog.level_count());
         }
       }
     }
