@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mcsn {
@@ -23,6 +24,13 @@ class CliArgs {
 
   /// True if --key is present (with or without value).
   [[nodiscard]] bool has(std::string_view key) const;
+
+  /// Every --key and its value ("" for a bare flag), in command-line
+  /// order.
+  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
+  flags() const {
+    return flags_;
+  }
 
   /// Positional (non-flag) arguments.
   [[nodiscard]] const std::vector<std::string>& positional() const {

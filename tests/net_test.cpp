@@ -1,8 +1,8 @@
 // The TCP front-end: loopback round-trip parity against the direct flat
 // batch engine, concurrent pipelined clients with interleaved responses,
 // byte-split and coalesced frame delivery, malformed-frame teardown (error
-// frame then close), graceful drain on stop, the poll(2) fallback loop and
-// idle-timeout reaping.
+// frame then close), graceful drain on stop, round-robin placement across
+// event loops, the connection cap and idle-timeout reaping.
 
 #include <gtest/gtest.h>
 
@@ -602,30 +602,6 @@ TEST(SocketServer, StopDrainsPendingResponses) {
   EXPECT_FALSE(eof.ok());
 }
 
-TEST(SocketServer, PollFallbackRoundTrips) {
-  const SortShape shape{4, 4};
-  Xoshiro256 rng(23);
-  std::vector<std::vector<Trit>> rounds;
-  for (int i = 0; i < 32; ++i) rounds.push_back(random_flat(rng, shape));
-  const std::vector<std::vector<Trit>> expect = expected_sorted(shape, rounds);
-
-  net::SocketOptions sopt;
-  sopt.force_poll = true;
-  Loopback loop(sopt, fast_flush());
-  net::SortClient client = loop.client();
-  for (const std::vector<Trit>& r : rounds) {
-    StatusOr<SortRequest> request = SortRequest::view(shape, r);
-    ASSERT_TRUE(request.ok());
-    ASSERT_TRUE(client.send(*request).ok());
-  }
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    StatusOr<SortResponse> response = client.receive();
-    ASSERT_TRUE(response.ok());
-    ASSERT_TRUE(response->status.ok());
-    EXPECT_EQ(response->payload, expect[i]);
-  }
-}
-
 TEST(SocketServer, IdleConnectionsAreReaped) {
   net::SocketOptions sopt;
   sopt.idle_timeout = std::chrono::milliseconds(50);
@@ -672,17 +648,14 @@ TEST(SocketServer, StopIsIdempotentAndClosesClients) {
 // --- multi-loop -------------------------------------------------------------
 
 TEST(SocketServer, MultiLoopPipelinedClientsSpreadAndAgree) {
-  // Three event loops behind the shared acceptor (force_acceptor gives
-  // deterministic round-robin placement; kernel REUSEPORT balancing is
-  // hash-based and can't be asserted on). Six pipelined clients land two
-  // per loop, and every response must still arrive in per-connection send
-  // order, bit-identical to the direct engine path.
+  // Three event loops behind loop 0's round-robin acceptor: six pipelined
+  // clients land two per loop, and every response must still arrive in
+  // per-connection send order, bit-identical to the direct engine path.
   const SortShape shape{4, 5};
   constexpr int kClients = 6;
   constexpr int kPerClient = 48;
   net::SocketOptions sopt;
   sopt.loops = 3;
-  sopt.force_acceptor = true;
   Loopback loop(sopt, fast_flush());
   ASSERT_EQ(loop.server->loop_count(), 3u);
 
@@ -723,12 +696,14 @@ TEST(SocketServer, MultiLoopPipelinedClientsSpreadAndAgree) {
   for (const std::string& f : failures) EXPECT_EQ(f, "");
 
   // Aggregated counters cover every loop's traffic, and the round-robin
-  // dispatch actually used every loop.
+  // dispatch placed two connections on every loop.
   const std::uint64_t requests = loop.count("requests");
   EXPECT_EQ(requests, static_cast<std::uint64_t>(kClients) * kPerClient);
   EXPECT_EQ(loop.count("accepted"), static_cast<std::uint64_t>(kClients));
   std::uint64_t summed = 0;
   for (std::size_t l = 0; l < loop.server->loop_count(); ++l) {
+    EXPECT_EQ(socket_loop_counter(*loop.service, "accepted", l), 2u)
+        << "loop " << l;
     const std::uint64_t per = socket_loop_counter(*loop.service, "requests", l);
     EXPECT_GT(per, 0u) << "loop " << l << " served nothing";
     summed += per;
@@ -736,13 +711,11 @@ TEST(SocketServer, MultiLoopPipelinedClientsSpreadAndAgree) {
   EXPECT_EQ(summed, requests);
 }
 
-TEST(SocketServer, MultiLoopListenersShareOneEphemeralPort) {
-  // loops > 1 without force_acceptor: on Linux this replicates the TCP
-  // listener per loop with SO_REUSEPORT — every sibling must end up on
-  // the same kernel-chosen ephemeral port, and clients connecting to that
-  // one port round-trip regardless of which loop's listener wins the
-  // accept. (Elsewhere this degrades to the shared acceptor; the client
-  // contract is identical.)
+TEST(SocketServer, MultiLoopTcpAcceptsAlternateLoops) {
+  // Eight sequential TCP clients on two loops: loop 0 accepts every one
+  // and deals them round-robin, so each loop adopts (and counts) exactly
+  // four, and every client round-trips whichever loop serves it. After
+  // stop() every accepted connection is counted closed.
   const SortShape shape{4, 4};
   net::SocketOptions sopt;
   sopt.loops = 2;
@@ -764,6 +737,12 @@ TEST(SocketServer, MultiLoopListenersShareOneEphemeralPort) {
     EXPECT_EQ(response->payload, expect[0]);
   }
   EXPECT_EQ(loop.count("accepted"), 8u);
+  EXPECT_EQ(socket_loop_counter(*loop.service, "accepted", 0), 4u);
+  EXPECT_EQ(socket_loop_counter(*loop.service, "accepted", 1), 4u);
+  EXPECT_EQ(socket_loop_counter(*loop.service, "requests", 0), 4u);
+  EXPECT_EQ(socket_loop_counter(*loop.service, "requests", 1), 4u);
+  loop.server->stop();
+  EXPECT_EQ(loop.count("closed"), loop.count("accepted"));
 }
 
 TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
@@ -777,8 +756,7 @@ TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
   const std::vector<std::vector<Trit>> expect = expected_sorted(shape, rounds);
 
   net::SocketOptions sopt;
-  sopt.loops = 2;
-  sopt.force_acceptor = true;  // deterministic: client 1 -> loop 0, 2 -> 1
+  sopt.loops = 2;  // round-robin: client a -> loop 0, b -> loop 1
   ServeOptions vopt;
   vopt.flush_window = std::chrono::milliseconds(20);
   Loopback loop(sopt, vopt);
@@ -804,6 +782,46 @@ TEST(SocketServer, MultiLoopGracefulStopDrainsEveryLoop) {
   EXPECT_FALSE(a.receive().ok());
   EXPECT_FALSE(b.receive().ok());
   EXPECT_EQ(loop.server->connections(), 0u);
+}
+
+TEST(SocketServer, ConnectionCapHoldsAcrossLoopHandoff) {
+  // max_connections counts connections on every loop: with two slots
+  // filled (one per loop) a third connect is closed unserved, and closing
+  // the connection loop 1 adopted returns its slot to the shared cap.
+  const SortShape shape{4, 4};
+  net::SocketOptions sopt;
+  sopt.loops = 2;
+  sopt.max_connections = 2;
+  Loopback loop(sopt, fast_flush());
+  const auto accepted_on = [&](std::size_t l) {
+    return socket_loop_counter(*loop.service, "accepted", l);
+  };
+  net::SortClient a = loop.client();
+  ASSERT_TRUE(eventually([&] { return accepted_on(0) == 1; }));
+  net::SortClient b = loop.client();
+  ASSERT_TRUE(eventually([&] { return accepted_on(1) == 1; }));
+
+  net::SortClient c = loop.client();
+  ASSERT_TRUE(eventually([&] { return loop.count("rejected") == 1; }));
+  EXPECT_FALSE(c.receive().ok());  // closed without an answer
+  EXPECT_EQ(loop.server->connections(), 2u);
+
+  b.close();
+  ASSERT_TRUE(eventually([&] {
+    return socket_loop_counter(*loop.service, "closed", 1) == 1 &&
+           loop.server->connections() == 1;
+  }));
+  Xoshiro256 rng(71);
+  const std::vector<Trit> round = random_flat(rng, shape);
+  net::SortClient d = loop.client();
+  StatusOr<SortRequest> request = SortRequest::view(shape, round);
+  ASSERT_TRUE(request.ok());
+  StatusOr<SortResponse> response = d.sort(*request);
+  ASSERT_TRUE(response.ok()) << response.status().to_string();
+  ASSERT_TRUE(response->status.ok());
+  EXPECT_EQ(response->payload, expected_sorted(shape, {round})[0]);
+  EXPECT_EQ(loop.count("rejected"), 1u);
+  EXPECT_EQ(loop.count("accepted"), 3u);
 }
 
 // --- batch frames over the socket -------------------------------------------
@@ -969,9 +987,9 @@ TEST(SocketServer, UnixDomainParityWithTcpIncludingMetastable) {
 }
 
 TEST(SocketServer, UnixDomainBatchAndMultiLoopDispatch) {
-  // AF_UNIX has no REUSEPORT load balancing, so with several loops the
-  // UDS listener lives on loop 0 and hands accepted fds round-robin to
-  // the others — batch frames included.
+  // With several loops the UDS listener lives on loop 0 like the TCP one
+  // and hands accepted fds round-robin to every loop — batch frames
+  // included.
   const SortShape shape{4, 4};
   constexpr std::size_t kRounds = 24;
   Xoshiro256 rng(67);
@@ -1007,11 +1025,14 @@ TEST(SocketServer, UnixDomainBatchAndMultiLoopDispatch) {
   EXPECT_EQ(loop.count("accepted"), 4u);
   EXPECT_EQ(loop.count("batch_requests"), 4u);
   EXPECT_EQ(loop.count("rounds"), 4 * kRounds);
-  // Round-robin dispatch: both loops adopted connections.
-  EXPECT_GT(socket_loop_counter(*loop.service, "accepted", 0) +
-                socket_loop_counter(*loop.service, "requests", 0),
-            0u);
-  EXPECT_GT(socket_loop_counter(*loop.service, "requests", 1), 0u);
+  // Round-robin dispatch: each loop adopted, counted and served two of
+  // the four sequential connections.
+  for (std::size_t l = 0; l < 2; ++l) {
+    EXPECT_EQ(socket_loop_counter(*loop.service, "accepted", l), 2u)
+        << "loop " << l;
+    EXPECT_EQ(socket_loop_counter(*loop.service, "batch_requests", l), 2u)
+        << "loop " << l;
+  }
 }
 
 TEST(SocketServer, UnixPathIsUnlinkedOnStopAndNonSocketRefused) {

@@ -30,21 +30,20 @@
 //
 //   tool_sortd --listen PORT                      socket server mode:
 //     serves the same wire frames (BATCH frames included) over a
-//     non-blocking socket front-end (serve/net/socket_server.hpp — epoll
-//     on Linux, --poll forces the portable poll(2) loop). PORT 0 binds an
-//     ephemeral port; each bound endpoint is printed on stdout so scripts
-//     can scrape it: "listening on HOST:PORT" for TCP (the one shared port
-//     even with several SO_REUSEPORT listeners) and "listening on
-//     unix:PATH" for --listen-unix PATH (which also works without
-//     --listen, giving a UDS-only server). Serves until SIGINT/SIGTERM,
-//     then drains and dumps the observability document to stderr — the
-//     per-loop socket counters live in the same MetricsRegistry as the
-//     service series, so one document covers both. Socket knobs: --host H
-//     (default 127.0.0.1) --loops N (event-loop threads) --max-conns N
-//     --conn-inflight N (in rounds: a batch frame counts its round count)
-//     --idle-timeout-ms T. Unless --max-inflight is given explicitly, the
-//     service backpressure bound is raised to max-conns x conn-inflight so
-//     the event loops never block in submit().
+//     non-blocking epoll socket front-end (serve/net/socket_server.hpp).
+//     PORT 0 binds an ephemeral port; each bound endpoint is printed on
+//     stdout so scripts can scrape it: "listening on HOST:PORT" for TCP
+//     and "listening on unix:PATH" for --listen-unix PATH (which also
+//     works without --listen, giving a UDS-only server). Serves until
+//     SIGINT/SIGTERM, then drains and dumps the observability document to
+//     stderr — the per-loop socket counters live in the same
+//     MetricsRegistry as the service series, so one document covers both.
+//     Socket knobs: --host H (default 127.0.0.1) --loops N (event-loop
+//     threads) --max-conns N --conn-inflight N (in rounds: a batch frame
+//     counts its round count) --idle-timeout-ms T. Unless --max-inflight
+//     is given explicitly, the service backpressure bound is raised to
+//     max-conns x conn-inflight so the event loops never block in
+//     submit().
 //
 // Observability: every service mode (--stdin, --framed, --listen, load)
 // emits the same registry-rendered stats document on stderr when it
@@ -64,9 +63,14 @@
 //               --max-lanes L --max-inflight N --seed S
 //               --pool-capacity N --warmup CxB[,CxB...]
 //               --metrics-format json|prometheus --stats-interval SECS
+//
+// Any flag outside the usage text, a value on a mode switch, a positional
+// argument, or a numeric value that does not parse whole ("--listen 80x")
+// prints the usage and exits 2.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -74,10 +78,14 @@
 #include <deque>
 #include <future>
 #include <iostream>
+#include <iterator>
 #include <locale>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mcsn/serve/net/socket_server.hpp"
@@ -310,8 +318,7 @@ int run_listen(SortService& service, const net::SocketOptions& sopt) {
     return 2;
   }
   // Scrapable by scripts (and the CI smoke): one stdout line per bound
-  // endpoint. With SO_REUSEPORT the N TCP listeners share one port, so
-  // one line still identifies the whole TCP endpoint.
+  // endpoint.
   if (sopt.listen_tcp) {
     std::cout << "listening on " << sopt.host << ":" << server.port() << "\n";
   }
@@ -407,6 +414,80 @@ bool parse_warmup_shapes(const std::string& arg,
   return true;
 }
 
+/// Every flag the usage text names, by the value it takes.
+enum class FlagKind { kSwitch, kInteger, kNumber, kText };
+
+constexpr std::pair<std::string_view, FlagKind> kFlags[] = {
+    {"channels", FlagKind::kInteger},
+    {"bits", FlagKind::kInteger},
+    {"workers", FlagKind::kInteger},
+    {"window-us", FlagKind::kInteger},
+    {"max-lanes", FlagKind::kInteger},
+    {"max-inflight", FlagKind::kInteger},
+    {"rate", FlagKind::kNumber},
+    {"duration-s", FlagKind::kNumber},
+    {"seed", FlagKind::kInteger},
+    {"pool-capacity", FlagKind::kInteger},
+    {"warmup", FlagKind::kText},
+    {"stdin", FlagKind::kSwitch},
+    {"framed", FlagKind::kSwitch},
+    {"encode-frames", FlagKind::kSwitch},
+    {"decode-frames", FlagKind::kSwitch},
+    {"listen", FlagKind::kInteger},
+    {"listen-unix", FlagKind::kText},
+    {"host", FlagKind::kText},
+    {"loops", FlagKind::kInteger},
+    {"max-conns", FlagKind::kInteger},
+    {"conn-inflight", FlagKind::kInteger},
+    {"idle-timeout-ms", FlagKind::kInteger},
+    {"metrics-format", FlagKind::kText},
+    {"stats-interval", FlagKind::kInteger},
+};
+
+/// `text` as one T when all of it parses ("80x" and "" do not).
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Rejects what the CLI parser would otherwise let through silently: an
+/// unknown (stale or typo'd) flag, a value on a switch, a positional
+/// argument, or a numeric value that does not parse whole — get_long_or's
+/// atol would read "--listen abc" as port 0.
+bool flags_usable(const CliArgs& args) {
+  if (!args.positional().empty()) {
+    std::cerr << "sortd: unexpected argument '" << args.positional().front()
+              << "'\n";
+    return false;
+  }
+  for (const auto& [name, value] : args.flags()) {
+    const auto known =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&name](const auto& f) { return f.first == name; });
+    if (known == std::end(kFlags)) {
+      std::cerr << "sortd: unknown flag --" << name << "\n";
+      return false;
+    }
+    const FlagKind kind = known->second;
+    if (kind == FlagKind::kSwitch && !value.empty()) {
+      std::cerr << "sortd: --" << name << " takes no value (got '" << value
+                << "')\n";
+      return false;
+    }
+    if ((kind == FlagKind::kInteger && !parse_whole<long>(value)) ||
+        (kind == FlagKind::kNumber && !parse_whole<double>(value))) {
+      std::cerr << "sortd: --" << name << " needs a number (got '" << value
+                << "')\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 int usage() {
   std::cerr << "usage: tool_sortd [--channels C>=2] [--bits 1..16]"
                " [--workers W>=1] [--window-us U>=0] [--max-lanes L>=1]"
@@ -416,7 +497,7 @@ int usage() {
                " --decode-frames | --listen PORT | --listen-unix PATH]\n"
                "       server knobs: [--host H] [--loops N>=1]"
                " [--max-conns N>=1] [--conn-inflight N>=1]"
-               " [--idle-timeout-ms T>=0] [--poll]\n"
+               " [--idle-timeout-ms T>=0]\n"
                "       observability: [--metrics-format json|prometheus]"
                " [--stats-interval SECS>=0]  (SIGUSR1 dumps now)\n";
   return 2;
@@ -431,6 +512,7 @@ int main(int argc, char** argv) {
   std::cerr.imbue(std::locale::classic());
 
   const CliArgs args(argc, argv);
+  if (!flags_usable(args)) return usage();
   const int channels = static_cast<int>(args.get_long_or("channels", 10));
   const std::size_t bits =
       static_cast<std::size_t>(args.get_long_or("bits", 8));
@@ -438,14 +520,10 @@ int main(int argc, char** argv) {
   const long window_us = args.get_long_or("window-us", 200);
   const long max_lanes = args.get_long_or("max-lanes", 256);
   const long max_inflight = args.get_long_or("max-inflight", 4096);
-  double rate = 20000.0;
-  double duration_s = 1.0;
-  try {
-    rate = std::stod(args.get_or("rate", "20000"));
-    duration_s = std::stod(args.get_or("duration-s", "1"));
-  } catch (const std::exception&) {
-    rate = duration_s = 0.0;  // falls through to usage
-  }
+  // flags_usable() admitted only values that parse whole.
+  const double rate = *parse_whole<double>(args.get_or("rate", "20000"));
+  const double duration_s =
+      *parse_whole<double>(args.get_or("duration-s", "1"));
   // Workload-shape knobs keep their domain checks here; a non-finite or
   // non-positive rate feeds PoissonClock inf/NaN deadlines.
   if (channels < 2 || bits < 1 || bits > 16 || !std::isfinite(rate) ||
@@ -528,7 +606,6 @@ int main(int argc, char** argv) {
     sopt.max_inflight =
         conn_inflight < 0 ? 0 : static_cast<std::size_t>(conn_inflight);
     sopt.idle_timeout = std::chrono::milliseconds(idle_ms < 0 ? -1 : idle_ms);
-    sopt.force_poll = args.has("poll");
     if (Status s = sopt.validate(); !s.ok()) {
       std::cerr << "sortd: " << s.to_string() << "\n";
       return usage();
