@@ -59,7 +59,6 @@
 #include "mcsn/refdata/paper_tables.hpp"
 #include "mcsn/serve/batcher.hpp"
 #include "mcsn/serve/metrics.hpp"
-#include "mcsn/serve/queue.hpp"
 #include "mcsn/serve/service.hpp"
 #include "mcsn/serve/sorter_pool.hpp"
 #include "mcsn/serve/wire.hpp"

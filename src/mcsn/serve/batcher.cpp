@@ -27,7 +27,6 @@ MicroBatcher::AddResult MicroBatcher::add(
     std::chrono::steady_clock::time_point now) {
   const std::pair<int, std::size_t> key{sorter->channels(), sorter->bits()};
   AddResult result;
-  std::lock_guard lock(mu_);
   Shard& shard = shards_[key];
   if (shard.requests.empty()) {
     shard.sorter = std::move(sorter);
@@ -62,7 +61,6 @@ MicroBatcher::AddResult MicroBatcher::add(
 std::vector<BatchGroup> MicroBatcher::take_expired(
     std::chrono::steady_clock::time_point now) {
   std::vector<BatchGroup> groups;
-  std::lock_guard lock(mu_);
   for (auto& [key, shard] : shards_) {
     if (!shard.requests.empty() && shard.oldest + window_ <= now) {
       groups.push_back(drain_shard(shard, FlushCause::window));
@@ -73,7 +71,6 @@ std::vector<BatchGroup> MicroBatcher::take_expired(
 
 std::vector<BatchGroup> MicroBatcher::take_all() {
   std::vector<BatchGroup> groups;
-  std::lock_guard lock(mu_);
   for (auto& [key, shard] : shards_) {
     if (!shard.requests.empty()) {
       groups.push_back(drain_shard(shard, FlushCause::drain));
@@ -85,7 +82,6 @@ std::vector<BatchGroup> MicroBatcher::take_all() {
 std::optional<std::chrono::steady_clock::time_point>
 MicroBatcher::next_deadline() const {
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  std::lock_guard lock(mu_);
   for (const auto& [key, shard] : shards_) {
     if (shard.requests.empty()) continue;
     const auto d = shard.oldest + window_;
@@ -97,7 +93,6 @@ MicroBatcher::next_deadline() const {
 bool MicroBatcher::empty() const { return pending() == 0; }
 
 std::size_t MicroBatcher::pending() const {
-  std::lock_guard lock(mu_);
   std::size_t n = 0;
   for (const auto& [key, shard] : shards_) n += shard.requests.size();
   return n;

@@ -12,14 +12,14 @@
 // executor never repacks rounds. That copy is the only one between the
 // submitter's buffer and the engine lanes.
 //
-// Internally synchronized; time is always passed in, so tests can drive
-// the window deterministically with fake clocks.
+// Not synchronized: a single-owner structure its caller locks (SortService
+// holds its admission mutex around every call). Time is always passed in,
+// so tests can drive the window deterministically with fake clocks.
 
 #include <chrono>
 #include <cstddef>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -60,8 +60,7 @@ class MicroBatcher {
  public:
   /// With a registry, the batcher publishes its live state as
   /// batcher_pending_rounds / batcher_open_shards gauges and a
-  /// batcher_staged_rounds_total counter (all updated under the mutex it
-  /// already holds).
+  /// batcher_staged_rounds_total counter.
   MicroBatcher(std::size_t max_lanes, std::chrono::nanoseconds window,
                MetricsRegistry* registry = nullptr)
       : max_lanes_(max_lanes == 0 ? 1 : max_lanes), window_(window) {
@@ -123,7 +122,6 @@ class MicroBatcher {
   Gauge* pending_rounds_ = nullptr;
   Gauge* open_shards_ = nullptr;
   Counter* staged_total_ = nullptr;
-  mutable std::mutex mu_;
   std::map<std::pair<int, std::size_t>, Shard> shards_;
 };
 

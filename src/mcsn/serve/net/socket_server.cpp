@@ -157,7 +157,6 @@ struct Connection : std::enable_shared_from_this<Connection> {
   std::size_t woff = 0;        ///< bytes of wqueue.front() already written
   std::uint64_t next_seq = 0;  ///< sequence of the next decoded request
   std::uint64_t next_flush = 0;  ///< next sequence owed to the write queue
-  std::uint64_t written = 0;     ///< response frames fully written
   /// Rounds decoded but not yet fully written back — the flow-control
   /// quantity (see pending()). Incremented at submit time, decremented as
   /// each owed frame finishes writing.
@@ -748,7 +747,6 @@ struct SocketServer::Impl {
                          .count())));
           conn.wqueue.pop_front();
           conn.woff = 0;
-          ++conn.written;
           conn.fsm.response_written();
           responses->add();
         }

@@ -10,13 +10,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Throws on any out-of-range knob (validate()'s message), then fills in
+/// the defaults the service runs with.
 ServeOptions sanitize(ServeOptions opt) {
-  opt.workers = std::max(1, opt.workers);
-  opt.max_lanes = std::max<std::size_t>(1, opt.max_lanes);
-  opt.max_inflight = std::max<std::size_t>(1, opt.max_inflight);
-  opt.ready_capacity = std::max<std::size_t>(1, opt.ready_capacity);
-  if (opt.flush_window < std::chrono::microseconds(0)) {
-    opt.flush_window = std::chrono::microseconds(0);
+  if (Status s = opt.validate(); !s.ok()) {
+    throw std::invalid_argument(s.message());
   }
   // Engine parallelism is one persistent pool shared by every worker and
   // every pooled sorter (see ServeOptions::sorter), so thread count is
@@ -55,7 +53,6 @@ Status ServeOptions::validate() const {
              std::to_string(flush_window.count()) + "us)");
   }
   if (max_inflight < 1) complain("max_inflight must be >= 1 (got 0)");
-  if (ready_capacity < 1) complain("ready_capacity must be >= 1 (got 0)");
   if (sorter.batch.threads < 0) {
     complain("sorter.batch.threads must be >= 0 (got " +
              std::to_string(sorter.batch.threads) + ")");
@@ -86,10 +83,9 @@ Status ServeOptions::validate() const {
 SortService::SortService(ServeOptions opt)
     : opt_(sanitize(std::move(opt))),
       pool_(opt_.sorter, opt_.registry.get(), opt_.pool_capacity),
-      batcher_(opt_.max_lanes, opt_.flush_window, opt_.registry.get()),
-      ready_(opt_.ready_capacity),
       metrics_(*opt_.registry),
-      proc_stats_(*opt_.registry) {
+      proc_stats_(*opt_.registry),
+      batcher_(opt_.max_lanes, opt_.flush_window, opt_.registry.get()) {
   // Warm the pool before traffic: first requests for the listed shapes
   // hit compiled programs. Failures reach warmup_observer; the service
   // still starts (a bad warmup shape must not take serving down).
@@ -107,14 +103,14 @@ SortService::~SortService() { stop(); }
 Status SortService::try_admit(SortRequest& request, SortCompletion& done) {
   if (Status s = request.validate(); !s.ok()) return s;
 
-  // Early, non-authoritative rejection (the shared-lock check below is the
+  // Early, non-authoritative rejection (the check under mu_ below is the
   // real one): don't compile a novel shape's sorter for a stopped service.
   if (!accepting_.load(std::memory_order_relaxed)) {
     return Status::unavailable("SortService: stopped");
   }
 
   // Compiles the shape's sorter on first sight (milliseconds); later
-  // requests hit the pool cache. Deliberately outside the lifecycle lock.
+  // requests hit the pool cache. Deliberately outside the mutex.
   // The pool maps every construction failure to a Status — degenerate
   // shapes come back kInvalidArgument, shapes beyond the configured
   // construction bound kUnimplemented, allocation failure
@@ -128,50 +124,29 @@ Status SortService::try_admit(SortRequest& request, SortCompletion& done) {
   // complete); stop() aborts the wait. Inflight is counted in rounds, so a
   // batched request takes as many slots as the work it carries (a batch
   // may overshoot the cap by its own size, same soft bound as before).
-  const std::size_t weight = request.rounds;
-  {
-    std::unique_lock lock(inflight_mu_);
-    inflight_cv_.wait(lock, [this] {
-      return inflight_ < opt_.max_inflight ||
-             !accepting_.load(std::memory_order_relaxed);
-    });
-    if (!accepting_.load(std::memory_order_relaxed)) {
-      return Status::unavailable("SortService: stopped");
-    }
-    inflight_ += weight;
-  }
-
-  std::shared_lock lifecycle(lifecycle_mu_);
+  std::unique_lock lock(mu_);
+  space_cv_.wait(lock, [this] {
+    return inflight_ < opt_.max_inflight ||
+           !accepting_.load(std::memory_order_relaxed);
+  });
   if (!accepting_.load(std::memory_order_relaxed)) {
-    release_inflight(weight);
     return Status::unavailable("SortService: stopped");
   }
-
+  inflight_ += request.rounds;
   const auto now = Clock::now();
-  PendingSort pending;
-  pending.request = std::move(request);
-  pending.done = std::move(done);
-  pending.enqueued = now;
+  PendingSort pending{std::move(request), std::move(done), now};
 
   // Counted before the batcher sees the request: once it's in a shard, a
-  // concurrent flush may complete it, and completed must never outrun
-  // submitted in a snapshot.
+  // worker may complete it, and completed must never outrun submitted in
+  // a snapshot.
   metrics_.on_submitted();
   MicroBatcher::AddResult added =
       batcher_.add(std::move(*sorter), std::move(pending), now);
-  if (added.full) {
-    // A refused push must not drop the group: its completions (including
-    // the one this call admitted) would die uninvoked and its inflight
-    // slots would leak, wedging every later submitter at the backpressure
-    // gate. publish_ready fails the group explicitly instead; this caller
-    // then sees the failure through its own completion.
-    publish_ready(std::move(*added.full));
-  } else if (added.window_started) {
-    // Wake a worker so it tracks the fresh shard's flush deadline; an empty
-    // group is the kick (workers skip it and recompute their deadline).
-    // Best-effort: with the queue full the workers are awake anyway.
-    ready_.try_push(BatchGroup{});
-  }
+  if (added.full) ready_.push_back(std::move(*added.full));
+  lock.unlock();
+  // A full group is work now; a fresh shard window is a new deadline some
+  // worker must track. Either changed under mu_, so no wake-up is lost.
+  if (added.full || added.window_started) work_cv_.notify_one();
   return Status();
 }
 
@@ -198,55 +173,54 @@ std::future<SortResponse> SortService::submit(SortRequest request) {
 
 void SortService::stop() {
   {
-    std::unique_lock lifecycle(lifecycle_mu_);
-    if (stopped_) return;
-    stopped_ = true;
+    std::lock_guard lock(mu_);
+    if (!accepting_.load(std::memory_order_relaxed)) return;
     accepting_.store(false, std::memory_order_relaxed);
   }
-  inflight_cv_.notify_all();  // abort submitters blocked on backpressure
-  for (BatchGroup& group : batcher_.take_all()) {
-    // Blocks while full (workers are still draining). The queue isn't
-    // closed yet so the push should succeed, but a refusal must still fail
-    // the group's completions rather than strand every waiter.
-    publish_ready(std::move(group));
-  }
-  ready_.close();
+  space_cv_.notify_all();  // abort submitters blocked on backpressure
+  work_cv_.notify_all();   // workers drain the batcher, then exit
   for (std::thread& t : workers_) t.join();
   workers_.clear();
 }
 
 void SortService::worker_loop() {
+  std::unique_lock lock(mu_);
   for (;;) {
-    // Sweep expired shards every iteration — not only when the ready queue
-    // runs dry — so sustained full-group traffic of one shape can't starve
-    // another shape's window flush past its deadline.
-    for (BatchGroup& expired :
-         batcher_.take_expired(std::chrono::steady_clock::now())) {
-      execute(std::move(expired));
+    // Sweep expired shards before every group — not only when no full
+    // group is ready — so sustained full-group traffic of one shape can't
+    // starve another shape's window flush past its deadline. Window
+    // flushes go first: their requests are the oldest waiting.
+    for (BatchGroup& expired : batcher_.take_expired(Clock::now())) {
+      ready_.push_front(std::move(expired));
     }
-    const std::optional<std::chrono::steady_clock::time_point> deadline =
-        batcher_.next_deadline();
-    std::optional<BatchGroup> group =
-        deadline ? ready_.pop_until(*deadline) : ready_.pop();
-    if (group) {
-      execute(std::move(*group));
+    if (!accepting_.load(std::memory_order_relaxed)) {
+      // Stopped: nothing in the batcher can gain lane-mates anymore, so
+      // flush it now rather than waiting out its windows.
+      for (BatchGroup& leftover : batcher_.take_all()) {
+        ready_.push_back(std::move(leftover));
+      }
+    }
+    if (!ready_.empty()) {
+      BatchGroup group = std::move(ready_.front());
+      ready_.pop_front();
+      if (!ready_.empty()) work_cv_.notify_one();  // more for an idle peer
+      lock.unlock();
+      const std::size_t rounds = execute(std::move(group));
+      lock.lock();
+      inflight_ -= rounds;
+      space_cv_.notify_all();
       continue;
     }
-    if (ready_.closed() && ready_.empty()) {
-      // The queue only closes during shutdown: nothing in the batcher can
-      // gain lane-mates anymore, so drain it now instead of spinning on an
-      // instantly-returning pop until a flush window (which may be hours)
-      // expires. Concurrent workers split the groups via take_all's lock.
-      for (BatchGroup& leftover : batcher_.take_all()) {
-        execute(std::move(leftover));
-      }
-      return;
+    if (!accepting_.load(std::memory_order_relaxed)) return;
+    if (const auto deadline = batcher_.next_deadline()) {
+      work_cv_.wait_until(lock, *deadline);
+    } else {
+      work_cv_.wait(lock);
     }
   }
 }
 
-void SortService::execute(BatchGroup group) {
-  if (group.requests.empty()) return;  // wake-up kick, not work
+std::size_t SortService::execute(BatchGroup group) {
   const std::size_t n = group.requests.size();
   const std::size_t round_trits = group.sorter->shape().trits();
   // Request i occupies rounds(i) consecutive rounds of `flat`; all-single
@@ -368,7 +342,7 @@ void SortService::execute(BatchGroup group) {
     }
     pending.done(std::move(response));
   }
-  release_inflight(total_rounds);
+  return total_rounds;
 }
 
 std::string SortService::stats_json() const {
@@ -384,35 +358,6 @@ std::string SortService::stats_json() const {
 std::string SortService::stats_prometheus() const {
   proc_stats_.refresh();
   return opt_.registry->prometheus();
-}
-
-void SortService::publish_ready(BatchGroup group) {
-  if (std::optional<BatchGroup> refused =
-          ready_.push_or_reclaim(std::move(group))) {
-    fail_group(std::move(*refused), "SortService: batch queue closed");
-  }
-}
-
-void SortService::fail_group(BatchGroup group, const char* reason) {
-  if (group.requests.empty()) return;
-  std::size_t total_rounds = 0;
-  for (PendingSort& pending : group.requests) {
-    total_rounds += pending.request.rounds;
-    metrics_.on_rejected();
-    pending.done(SortResponse::failure(Status::unavailable(reason),
-                                       pending.request.shape,
-                                       pending.request.values_requested,
-                                       pending.request.rounds));
-  }
-  release_inflight(total_rounds);
-}
-
-void SortService::release_inflight(std::size_t n) {
-  {
-    std::lock_guard lock(inflight_mu_);
-    inflight_ -= std::min(n, inflight_);
-  }
-  inflight_cv_.notify_all();
 }
 
 }  // namespace mcsn

@@ -22,20 +22,28 @@
 //
 // Latency/throughput trade-off is one knob: flush_window. A shard flushes
 // the moment it fills max_lanes lanes (no added latency under load); a
-// partial group waits at most ~2x flush_window before a worker sweeps it.
-// Backpressure: at most max_inflight admitted-but-unfinished requests;
-// beyond that submit() blocks. stop() (or the destructor) stops admission,
-// drains every pending request, completes all futures/callbacks, and joins
-// workers.
+// partial group flushes when its window ends, or, if every worker is busy
+// then, as soon as one finishes its current group (workers sweep expired
+// shards before taking the next ready group).
+//
+// Backpressure is one bound: at most max_inflight admitted-but-unfinished
+// rounds; beyond that submit() blocks, and nothing else makes it wait.
+// One mutex owns everything between admission and the workers: the
+// batcher's shards, the FIFO of flushed groups, the inflight count and the
+// accepting flag. Submitters wait on its "space" condition, workers on its
+// "work" condition (a ready group, a shard deadline, or stop). Compiling a
+// novel shape, sort_batch_flat and every completion run with it released.
+// stop() (or the destructor) stops admission, drains every pending
+// request, completes all futures/callbacks, and joins workers.
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,7 +51,6 @@
 #include "mcsn/api/sort_api.hpp"
 #include "mcsn/serve/batcher.hpp"
 #include "mcsn/serve/metrics.hpp"
-#include "mcsn/serve/queue.hpp"
 #include "mcsn/serve/sorter_pool.hpp"
 #include "mcsn/util/proc_stats.hpp"
 
@@ -58,11 +65,9 @@ struct ServeOptions {
   std::size_t max_lanes = 256;
   /// Max time a request waits for lane-mates before a partial flush.
   std::chrono::microseconds flush_window{200};
-  /// Backpressure bound: admitted-but-unfinished requests before submit()
-  /// blocks.
+  /// Backpressure bound: admitted-but-unfinished rounds before submit()
+  /// blocks — the only thing submit() waits on.
   std::size_t max_inflight = 4096;
-  /// Bound on flushed-but-not-yet-executed lane groups.
-  std::size_t ready_capacity = 64;
   /// Knobs for pooled sorters (network choice, sort2 style, engine).
   ///
   /// Engine threading composes with the service's workers through one
@@ -102,18 +107,18 @@ struct ServeOptions {
   std::shared_ptr<MetricsRegistry> registry;
 
   /// Checks every knob and reports *all* out-of-range values in one
-  /// kInvalidArgument status instead of silently clamping them. CLI
-  /// front-ends call this so bad flags error out; the SortService
-  /// constructor still sanitizes (documented clamps) for programmatic
-  /// callers that rely on the old forgiving behavior.
+  /// kInvalidArgument status. The SortService constructor throws with
+  /// this message; CLI front-ends call it first to print it as a usage
+  /// error.
   [[nodiscard]] Status validate() const;
 };
 
 class SortService {
  public:
-  /// Sanitizes `opt` (documented clamps; call opt.validate() first to
-  /// reject instead) and starts the worker threads. The service is ready
-  /// for submit() when the constructor returns.
+  /// Throws std::invalid_argument with opt.validate()'s message when a
+  /// knob is out of range; otherwise fills in the registry and engine-pool
+  /// defaults and starts the worker threads. The service is ready for
+  /// submit() when the constructor returns.
   ///
   /// Thread-safety: every public member is safe to call from any number
   /// of threads concurrently; submissions racing stop() complete with
@@ -164,52 +169,42 @@ class SortService {
   /// Registry in Prometheus text exposition (the slow-request ring is
   /// JSON-only; it has no natural Prometheus shape).
   [[nodiscard]] std::string stats_prometheus() const;
-  /// The sanitized options this service actually runs with (clamps
-  /// applied); const and safe from any thread.
+  /// The options this service runs with (registry and engine-pool
+  /// defaults filled in); const and safe from any thread.
   [[nodiscard]] const ServeOptions& options() const noexcept { return opt_; }
   /// Distinct request shapes seen (compiled sorters in the pool); safe
   /// from any thread.
   [[nodiscard]] std::size_t shapes() const { return pool_.size(); }
 
  private:
-  friend struct SortServiceTestPeer;  // white-box fault injection in tests
-
   /// Validates, applies backpressure and enqueues. On a non-OK return the
   /// request and completion are untouched (the caller invokes `done` with
   /// the failure); on OK the batcher owns both.
   [[nodiscard]] Status try_admit(SortRequest& request, SortCompletion& done);
 
   void worker_loop();
-  void execute(BatchGroup group);
-  /// Hands a flushed group to the workers; if the ready queue refuses it
-  /// (closed), fails every completion in the group instead of dropping it.
-  void publish_ready(BatchGroup group);
-  /// Fails all completions of a group that can no longer execute, counting
-  /// each request as rejected and releasing its inflight slot.
-  void fail_group(BatchGroup group, const char* reason);
-  void release_inflight(std::size_t n);
+  /// Runs one group and completes its requests (mutex released); returns
+  /// the rounds it held, for the caller to release from inflight_.
+  std::size_t execute(BatchGroup group);
 
   ServeOptions opt_;
   SorterPool pool_;
-  MicroBatcher batcher_;
-  BoundedQueue<BatchGroup> ready_;
   ServiceMetrics metrics_;
   SlowRequestRing slow_ring_;
   /// process_rss_bytes / process_open_fds gauges, refreshed on every
   /// stats_json()/stats_prometheus() render so scrapes carry live values.
   ProcStatsGauges proc_stats_;
 
-  // Guards the submit-vs-stop race: submit holds it shared across
-  // admission-check + batcher add + ready push; stop takes it exclusive to
-  // flip accepting_, so no request can slip into the batcher after the
-  // shutdown drain.
-  std::shared_mutex lifecycle_mu_;
+  // The admission mutex: guards everything below up to workers_.
+  std::mutex mu_;
+  std::condition_variable work_cv_;   // workers: ready group, deadline, stop
+  std::condition_variable space_cv_;  // submitters: inflight_ fell
+  MicroBatcher batcher_;
+  std::deque<BatchGroup> ready_;  // flushed groups; workers take the front
+  std::size_t inflight_ = 0;      // admitted-but-unfinished rounds
+  // Written only under mu_; also read relaxed outside it as an early-out,
+  // so a stopped service does not compile a novel shape's sorter.
   std::atomic<bool> accepting_{true};
-  bool stopped_ = false;  // guarded by lifecycle_mu_
-
-  std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  std::size_t inflight_ = 0;
 
   std::vector<std::thread> workers_;
 };

@@ -4,6 +4,7 @@
 // definition so the exponential pacing and the measurement-round corpus
 // can't drift between the drivers.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -16,10 +17,28 @@
 
 namespace mcsn {
 
+/// `start + seconds`, saturating at time_point::max() once the offset is
+/// past what steady_clock::duration can represent (converting an
+/// out-of-range double to the integer tick count is undefined).
+[[nodiscard]] inline std::chrono::steady_clock::time_point saturating_after(
+    std::chrono::steady_clock::time_point start, double seconds) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::duration room = Clock::time_point::max() - start;
+  const double ticks = seconds * Clock::period::den / Clock::period::num;
+  if (!(ticks < static_cast<double>(room.count()))) {
+    return Clock::time_point::max();
+  }
+  // The double comparison may round `room` up; the min keeps it exact.
+  return start +
+         std::min(room, Clock::duration(static_cast<Clock::rep>(ticks)));
+}
+
 /// Open-loop Poisson arrival schedule: exponential inter-arrival times at
 /// `rate` events/second, anchored at construction time. next() returns the
 /// absolute steady_clock instant of the next arrival, independent of how
 /// late the caller is (that's what makes the loop open rather than closed).
+/// At rates so low that the schedule leaves the clock's range, next()
+/// returns time_point::max().
 class PoissonClock {
  public:
   /// Throws std::invalid_argument unless rate_per_sec is finite and > 0 —
@@ -38,9 +57,7 @@ class PoissonClock {
   [[nodiscard]] std::chrono::steady_clock::time_point next() {
     // uniform() is in [0, 1), so 1 - u is in (0, 1] and log() is finite.
     offset_s_ += -std::log(1.0 - rng_->uniform()) / rate_;
-    return start_ + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(offset_s_));
+    return saturating_after(start_, offset_s_);
   }
 
   [[nodiscard]] std::chrono::steady_clock::time_point start() const noexcept {

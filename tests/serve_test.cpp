@@ -1,7 +1,7 @@
-// The streaming sort service: bounded queue semantics, sorter pooling,
-// micro-batcher flush rules, and — the load-bearing property — that any
-// interleaving of requests through the service yields results bit-identical
-// to a direct sort_batch of the same rounds.
+// The streaming sort service: sorter pooling, micro-batcher flush rules,
+// admission backpressure, shutdown races and — the load-bearing property —
+// that any interleaving of requests through the service yields results
+// bit-identical to a direct sort_batch of the same rounds.
 
 #include <gtest/gtest.h>
 
@@ -11,27 +11,18 @@
 #include <future>
 #include <iterator>
 #include <locale>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "mcsn/serve/batcher.hpp"
-#include "mcsn/serve/queue.hpp"
 #include "mcsn/serve/service.hpp"
 #include "mcsn/serve/sorter_pool.hpp"
 #include "mcsn/util/loadgen.hpp"
 #include "mcsn/util/rng.hpp"
 
 namespace mcsn {
-
-/// White-box fault injection: closes the ready queue underneath a live
-/// service so tests can drive the refused-push path that no public API
-/// sequence reaches (the lifecycle lock orders real close() after drain).
-struct SortServiceTestPeer {
-  static void close_ready_queue(SortService& service) {
-    service.ready_.close();
-  }
-};
 
 namespace {
 
@@ -90,110 +81,6 @@ PendingSort make_pending(Xoshiro256& rng, int channels, std::size_t bits,
   pending.done = [](SortResponse) {};
   pending.enqueued = enqueued;
   return pending;
-}
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueue, FifoAndDrainAfterClose) {
-  BoundedQueue<int> q(8);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  EXPECT_FALSE(q.push(3));  // refused after close...
-  EXPECT_EQ(q.pop(), 1);    // ...but queued items still drain
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, TryPushRefusesWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(BoundedQueue, PushBlocksUntilConsumerFreesSpace) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(2));  // must block: capacity 1, queue full
-    pushed = true;
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BoundedQueue, PopUntilTimesOutOnEmpty) {
-  BoundedQueue<int> q(1);
-  const auto t0 = Clock::now();
-  EXPECT_EQ(q.pop_until(t0 + 10ms), std::nullopt);
-  EXPECT_GE(Clock::now() - t0, 10ms);
-}
-
-TEST(BoundedQueue, CloseUnblocksWaitingConsumer) {
-  BoundedQueue<int> q(1);
-  std::thread consumer([&] { EXPECT_EQ(q.pop(), std::nullopt); });
-  std::this_thread::sleep_for(5ms);
-  q.close();
-  consumer.join();
-}
-
-TEST(BoundedQueue, CloseUnblocksAllBlockedProducers) {
-  // Several producers stuck in a blocking push on a full queue: close()
-  // must wake every one of them, each returning false, with no deadlock.
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));  // fill to capacity
-  constexpr int kProducers = 3;
-  std::atomic<int> refused{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      if (!q.push(100 + p)) ++refused;
-    });
-  }
-  std::this_thread::sleep_for(20ms);  // let them reach the full-queue wait
-  q.close();
-  for (std::thread& t : producers) t.join();
-  EXPECT_EQ(refused.load(), kProducers);
-  EXPECT_EQ(q.pop(), 0);  // pre-close item still drains
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, CapacityZeroClampsToOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.try_push(1));   // one slot exists
-  EXPECT_FALSE(q.try_push(2));  // and only one
-  EXPECT_EQ(q.pop(), 1);
-}
-
-TEST(BoundedQueue, PopUntilWithExpiredDeadline) {
-  BoundedQueue<int> q(2);
-  // Empty + already-expired deadline: immediate nullopt, no wait.
-  const auto past = Clock::now() - 1h;
-  const auto t0 = Clock::now();
-  EXPECT_EQ(q.pop_until(past), std::nullopt);
-  EXPECT_LT(Clock::now() - t0, 5s);  // returned promptly, no 1h hang
-  // An available item is still handed out even though the deadline passed.
-  ASSERT_TRUE(q.push(7));
-  EXPECT_EQ(q.pop_until(past), 7);
-}
-
-TEST(BoundedQueue, PushOrReclaimReturnsItemWhenClosed) {
-  BoundedQueue<std::string> q(2);
-  EXPECT_EQ(q.push_or_reclaim("kept"), std::nullopt);
-  q.close();
-  const std::optional<std::string> back = q.push_or_reclaim("bounced");
-  ASSERT_TRUE(back.has_value());  // the item survives the refusal
-  EXPECT_EQ(*back, "bounced");
-  EXPECT_EQ(q.pop(), "kept");
 }
 
 // --- SorterPool -------------------------------------------------------------
@@ -537,35 +424,105 @@ TEST(SortService, StopDrainsEveryPendingFuture) {
   service.stop();  // idempotent
 }
 
-// Regression: a refused ready-queue push used to drop the BatchGroup on the
-// floor — promises died unfulfilled and the group's inflight slots leaked,
-// wedging all later submitters at the backpressure gate. Now every request
-// in the refused group fails fast and its slots are released.
-TEST(SortService, RefusedReadyPushFailsGroupInsteadOfDroppingIt) {
+// Submitters racing stop() at a tight inflight bound: every future
+// completes exactly once — sorted if admitted, kUnavailable if refused —
+// no admitted request is dropped, and no inflight slot leaks (a leak at
+// max_inflight = 2 would wedge the submitters for good).
+TEST(SortService, SubmittersRacingStopAllComplete) {
   ServeOptions opt;
   opt.workers = 1;
-  opt.max_lanes = 1;   // every submit flushes a full group immediately
+  opt.max_lanes = 1;     // every admitted request is a full group
   opt.max_inflight = 2;  // tight bound: leaked slots would hang the test
   SortService service(opt);
-  Xoshiro256 rng(31);
 
-  SortServiceTestPeer::close_ready_queue(service);
-
-  // Well past max_inflight: only possible if each refused group releases
-  // its inflight slots. Every future must carry the failure, not hang.
-  for (int i = 0; i < 8; ++i) {
-    std::future<SortResponse> f =
-        service.submit(request_of(random_round(rng, 4, 4)));
-    ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "request " << i;
-    EXPECT_EQ(f.get().status.code(), StatusCode::kUnavailable)
-        << "request " << i;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50;
+  std::vector<std::vector<std::future<SortResponse>>> futures(kThreads);
+  std::vector<std::thread> submitters;
+  std::atomic<int> started{0};
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      Xoshiro256 rng(31 + static_cast<std::uint64_t>(t));
+      started.fetch_add(1);
+      for (int i = 0; i < kPerThread; ++i) {
+        futures[static_cast<std::size_t>(t)].push_back(
+            service.submit(request_of(random_round(rng, 4, 4))));
+      }
+    });
   }
+  while (started.load() < kThreads) std::this_thread::yield();
+  std::this_thread::sleep_for(2ms);  // let some requests through first
+  service.stop();
+  for (std::thread& t : submitters) t.join();
 
-  EXPECT_EQ(counter(service, "serve_completed_total"), 0u);
-  // Refused pushes count as rejections.
-  EXPECT_EQ(counter(service, "serve_rejected_total"), 8u);
-  EXPECT_EQ(counter(service, "serve_submitted_total"), 8u);
-  service.stop();  // still clean to stop after the induced fault
+  std::uint64_t ok = 0;
+  std::uint64_t unavailable = 0;
+  for (auto& per_thread : futures) {
+    for (std::future<SortResponse>& f : per_thread) {
+      ASSERT_EQ(f.wait_for(5s), std::future_status::ready);
+      const StatusCode code = f.get().status.code();
+      EXPECT_TRUE(code == StatusCode::kOk || code == StatusCode::kUnavailable)
+          << static_cast<int>(code);
+      ++(code == StatusCode::kOk ? ok : unavailable);
+    }
+  }
+  // Rejected requests were never admitted, so "submitted" is exactly the
+  // admitted ones, and each of those completed.
+  EXPECT_EQ(counter(service, "serve_completed_total"), ok);
+  EXPECT_EQ(counter(service, "serve_rejected_total"), unavailable);
+  EXPECT_EQ(counter(service, "serve_submitted_total"),
+            counter(service, "serve_completed_total"));
+  EXPECT_EQ(ok + unavailable,
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+// max_inflight is the only bound submit() waits on: with the one worker
+// held inside a completion, admitted full groups pile up in the service
+// and every submit below max_inflight still returns at once.
+TEST(SortService, SubmitBlocksOnlyOnMaxInflight) {
+  ServeOptions opt;
+  opt.workers = 1;
+  opt.max_lanes = 1;  // every submit flushes a full group immediately
+  opt.max_inflight = 1000;
+  SortService service(opt);
+  Xoshiro256 rng(41);
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  service.submit(request_of(random_round(rng, 4, 4)),
+                 [&entered, gate](SortResponse) {
+                   entered.set_value();
+                   gate.wait();
+                 });
+  ASSERT_EQ(entered.get_future().wait_for(5s), std::future_status::ready);
+
+  constexpr int kRequests = 100;
+  std::vector<SortRequest> requests;
+  for (int i = 0; i < kRequests; ++i) {
+    requests.push_back(request_of(random_round(rng, 4, 4)));
+  }
+  std::atomic<int> returned{0};
+  std::atomic<int> completed{0};
+  std::thread submitter([&] {
+    for (SortRequest& request : requests) {
+      service.submit(std::move(request),
+                     [&completed](SortResponse) { completed.fetch_add(1); });
+      returned.fetch_add(1);
+    }
+  });
+  const auto until = Clock::now() + 5s;
+  while (returned.load() < kRequests && Clock::now() < until) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(returned.load(), kRequests);
+  EXPECT_EQ(completed.load(), 0);  // the worker is still held
+
+  release.set_value();
+  submitter.join();
+  service.stop();
+  EXPECT_EQ(completed.load(), kRequests);
+  EXPECT_EQ(counter(service, "serve_completed_total"), kRequests + 1u);
 }
 
 // The engine pool knob: batch.threads > 1 creates ONE pool shared by every
@@ -833,21 +790,17 @@ TEST(ServeOptions, ValidateNamesEveryBadKnob) {
   opt.max_lanes = 0;
   opt.flush_window = std::chrono::microseconds(-5);
   opt.max_inflight = 0;
-  opt.ready_capacity = 0;
   opt.sorter.batch.threads = -2;
   const Status s = opt.validate();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   for (const char* knob : {"workers", "max_lanes", "flush_window",
-                           "max_inflight", "ready_capacity",
-                           "sorter.batch.threads"}) {
+                           "max_inflight", "sorter.batch.threads"}) {
     EXPECT_NE(s.message().find(knob), std::string::npos)
         << knob << " missing in: " << s.message();
   }
-  // The constructor still sanitizes for programmatic callers: building a
-  // service from these knobs clamps instead of failing.
-  SortService service(opt);
-  EXPECT_GE(service.options().workers, 1);
+  // The constructor rejects the same knobs instead of clamping them.
+  EXPECT_THROW(SortService{opt}, std::invalid_argument);
 }
 
 TEST(SortService, BackpressureBoundsInflight) {

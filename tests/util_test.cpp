@@ -289,5 +289,22 @@ TEST(PoissonClock, DeadlinesAdvanceMonotonically) {
   EXPECT_LT(prev - clock.start(), std::chrono::seconds(1));
 }
 
+TEST(PoissonClock, TinyRatesSaturateInsteadOfOverflowing) {
+  using Clock = std::chrono::steady_clock;
+  Xoshiro256 rng(13);
+  // Offsets of ~1e300 s (and, summed, inf) are far past the clock's
+  // range; each arrival lands at time_point::max(), never wraps around.
+  PoissonClock clock(1e-300, rng);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(clock.next(), Clock::time_point::max());
+  }
+  const Clock::time_point start = clock.start();
+  EXPECT_EQ(saturating_after(start, 1e12), Clock::time_point::max());
+  EXPECT_EQ(saturating_after(start, std::numeric_limits<double>::infinity()),
+            Clock::time_point::max());
+  EXPECT_EQ(saturating_after(start, 1.5),
+            start + std::chrono::milliseconds(1500));
+}
+
 }  // namespace
 }  // namespace mcsn

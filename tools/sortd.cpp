@@ -79,6 +79,7 @@
 #include <future>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <locale>
 #include <optional>
 #include <sstream>
@@ -352,9 +353,7 @@ int run_load(SortService& service, int channels, std::size_t bits,
   std::deque<std::future<SortResponse>> futures;
   std::size_t completed = 0;
   PoissonClock arrivals(rate, rng);
-  const auto end = arrivals.start() +
-                   std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double>(duration_s));
+  const auto end = saturating_after(arrivals.start(), duration_s);
   while (true) {
     const auto scheduled = arrivals.next();
     if (scheduled >= end) break;
@@ -513,10 +512,17 @@ int main(int argc, char** argv) {
 
   const CliArgs args(argc, argv);
   if (!flags_usable(args)) return usage();
-  const int channels = static_cast<int>(args.get_long_or("channels", 10));
+  const long channels = args.get_long_or("channels", 10);
   const std::size_t bits =
       static_cast<std::size_t>(args.get_long_or("bits", 8));
   const long workers = args.get_long_or("workers", 1);
+  // Counts that become ints are range-checked as longs first: a cast
+  // would wrap 4294967300 to 4 and serve a shape nobody asked for.
+  const auto fits_int = [](long v) {
+    return v >= std::numeric_limits<int>::min() &&
+           v <= std::numeric_limits<int>::max();
+  };
+  if (!fits_int(channels) || !fits_int(workers)) return usage();
   const long window_us = args.get_long_or("window-us", 200);
   const long max_lanes = args.get_long_or("max-lanes", 256);
   const long max_inflight = args.get_long_or("max-inflight", 4096);
@@ -589,6 +595,7 @@ int main(int argc, char** argv) {
     const long conn_inflight = args.get_long_or("conn-inflight", 64);
     const long idle_ms = args.get_long_or("idle-timeout-ms", 30000);
     const long loops = args.get_long_or("loops", 1);
+    if (!fits_int(loops)) return usage();
     sopt.listen_tcp = args.has("listen");
     if (sopt.listen_tcp) {
       const long port = args.get_long_or("listen", -1);
@@ -611,7 +618,8 @@ int main(int argc, char** argv) {
       return usage();
     }
     // Provision the service so the event loops never block in submit():
-    // worst case every connection is at its per-connection cap.
+    // max_inflight is the only bound submit() waits on, and this covers
+    // the worst case of every connection at its per-connection cap.
     if (!args.has("max-inflight")) {
       opt.max_inflight =
           std::max(opt.max_inflight, sopt.max_connections * sopt.max_inflight);
@@ -645,6 +653,6 @@ int main(int argc, char** argv) {
   if (serve_sockets) return run_listen(service, sopt);
   if (args.has("framed")) return run_framed(service);
   if (args.has("stdin")) return run_stdin(service, bits);
-  return run_load(service, channels, bits, rate, duration_s,
+  return run_load(service, static_cast<int>(channels), bits, rate, duration_s,
                   static_cast<std::uint64_t>(args.get_long_or("seed", 42)));
 }
