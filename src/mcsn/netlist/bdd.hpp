@@ -41,7 +41,6 @@ class Bdd {
   [[nodiscard]] Ref bdd_or(Ref f, Ref g) { return ite(f, kTrue, g); }
   [[nodiscard]] Ref bdd_xor(Ref f, Ref g) { return ite(f, bdd_not(g), g); }
   [[nodiscard]] Ref bdd_xnor(Ref f, Ref g) { return ite(f, g, bdd_not(g)); }
-  [[nodiscard]] Ref bdd_implies(Ref f, Ref g) { return ite(f, g, kTrue); }
 
   [[nodiscard]] bool is_tautology(Ref f) const noexcept { return f == kTrue; }
   [[nodiscard]] bool is_contradiction(Ref f) const noexcept {

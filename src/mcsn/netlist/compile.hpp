@@ -21,8 +21,8 @@
 //   * constant folding into initialization — tie cells are materialized once
 //                              per executor, not re-evaluated per run.
 //
-// One CompiledProgram serves every backend width: the scalar Trit backend,
-// the 64-lane PackedTrit backend, and the 256-lane PackedTrit256 backend.
+// One CompiledProgram serves every backend width: the 64-lane PackedTrit
+// backend and the 256-lane PackedTrit256 backend.
 // BatchEvaluator packs arbitrary numbers of input vectors into wide lane
 // groups and optionally shards groups across a persistent ThreadPool
 // (injected or lazily owned — never a std::thread spawn per run_flat()).
@@ -125,20 +125,6 @@ class CompiledProgram {
 // A backend supplies the value type for one executor lane group plus splat /
 // eval / lane accessors. kLanes is the number of independent input vectors
 // one run evaluates.
-
-struct ScalarBackend {
-  using Value = Trit;
-  static constexpr int kLanes = 1;
-  [[nodiscard]] static constexpr Value splat(Trit t) noexcept { return t; }
-  [[nodiscard]] static constexpr Value eval(CellKind k, Value a, Value b,
-                                            Value c) noexcept {
-    return cell_eval(k, a, b, c);
-  }
-  [[nodiscard]] static constexpr Trit get_lane(const Value& v, int) noexcept {
-    return v;
-  }
-  static constexpr void set_lane(Value& v, int, Trit t) noexcept { v = t; }
-};
 
 struct Packed64Backend {
   using Value = PackedTrit;

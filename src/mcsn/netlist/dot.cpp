@@ -1,7 +1,6 @@
 #include "mcsn/netlist/dot.hpp"
 
 #include <ostream>
-#include <sstream>
 
 namespace mcsn {
 
@@ -28,12 +27,6 @@ void write_dot(std::ostream& os, const Netlist& nl) {
     os << "  n" << o.node << " -> o" << i << ";\n";
   }
   os << "}\n";
-}
-
-std::string to_dot(const Netlist& nl) {
-  std::ostringstream ss;
-  write_dot(ss, nl);
-  return ss.str();
 }
 
 }  // namespace mcsn

@@ -2,7 +2,6 @@
 // Graphviz export for netlists (debugging and documentation figures).
 
 #include <iosfwd>
-#include <string>
 
 #include "mcsn/netlist/netlist.hpp"
 
@@ -11,7 +10,5 @@ namespace mcsn {
 /// Writes a `digraph` with inputs as diamonds, gates as boxes labeled with
 /// the cell name, and outputs as double circles.
 void write_dot(std::ostream& os, const Netlist& nl);
-
-[[nodiscard]] std::string to_dot(const Netlist& nl);
 
 }  // namespace mcsn

@@ -36,7 +36,6 @@ class Netlist {
   explicit Netlist(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   // --- construction ---------------------------------------------------
 

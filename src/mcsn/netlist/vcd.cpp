@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 namespace mcsn {
@@ -64,12 +64,6 @@ void write_vcd(std::ostream& os, const Netlist& nl,
     os << "#" << static_cast<long long>(time + 0.5) << "\n";
     for (const auto& [id, v] : changes) os << vcd_char(v) << id << "\n";
   }
-}
-
-std::string to_vcd(const Netlist& nl, const EventSimulator& sim) {
-  std::ostringstream ss;
-  write_vcd(ss, nl, sim);
-  return ss.str();
 }
 
 }  // namespace mcsn

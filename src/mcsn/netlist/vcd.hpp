@@ -3,7 +3,6 @@
 // metastable M is emitted as the VCD unknown value 'x'.
 
 #include <iosfwd>
-#include <string>
 
 #include "mcsn/netlist/eventsim.hpp"
 #include "mcsn/netlist/netlist.hpp"
@@ -12,7 +11,5 @@ namespace mcsn {
 
 /// Dumps the waveforms of all primary inputs and outputs (1 ps timescale).
 void write_vcd(std::ostream& os, const Netlist& nl, const EventSimulator& sim);
-
-[[nodiscard]] std::string to_vcd(const Netlist& nl, const EventSimulator& sim);
 
 }  // namespace mcsn

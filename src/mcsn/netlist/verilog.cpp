@@ -1,7 +1,7 @@
 #include "mcsn/netlist/verilog.hpp"
 
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 namespace mcsn {
@@ -108,12 +108,6 @@ void write_verilog(std::ostream& os, const Netlist& nl) {
     os << "  assign " << sanitize(o.name) << " = " << wire[o.node] << ";\n";
   }
   os << "endmodule\n";
-}
-
-std::string to_verilog(const Netlist& nl) {
-  std::ostringstream ss;
-  write_verilog(ss, nl);
-  return ss.str();
 }
 
 }  // namespace mcsn

@@ -6,7 +6,6 @@
 // therefore emits one cell instance per gate — no behavioral constructs.
 
 #include <iosfwd>
-#include <string>
 
 #include "mcsn/netlist/netlist.hpp"
 
@@ -16,7 +15,5 @@ namespace mcsn {
 /// ("g[3]" -> "g_3"). Cell pin conventions follow NanGate 45 nm
 /// (A/A1/A2/.., ZN for inverting cells, Z otherwise).
 void write_verilog(std::ostream& os, const Netlist& nl);
-
-[[nodiscard]] std::string to_verilog(const Netlist& nl);
 
 }  // namespace mcsn

@@ -5,8 +5,8 @@
 // instances with named pin connections, and output `assign`s. Instances may
 // appear in any order; the reader topologically sorts them.
 //
-// Together with write_verilog this gives a round trip:
-//   parse_verilog(to_verilog(nl))  ==  nl   (same cells, same function —
+// Together with write_verilog this gives a round trip: parsing the text
+// write_verilog(os, nl) wrote yields nl again (same cells, same function —
 // the test suite checks formal ternary equivalence).
 
 #include <optional>

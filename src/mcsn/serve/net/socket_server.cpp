@@ -1092,12 +1092,12 @@ Status SocketOptions::validate() const {
   }
   if (max_connections < 1) complain("max_connections must be >= 1 (got 0)");
   if (max_inflight < 1) complain("max_inflight must be >= 1 (got 0)");
-  if (idle_timeout.count() < 0) {
-    complain("idle_timeout must be >= 0 (got " +
+  if (idle_timeout.count() < 0 || idle_timeout > kMaxServeDuration) {
+    complain("idle_timeout must be in [0, 24h] (got " +
              std::to_string(idle_timeout.count()) + "ms)");
   }
-  if (drain_timeout.count() < 0) {
-    complain("drain_timeout must be >= 0 (got " +
+  if (drain_timeout.count() < 0 || drain_timeout > kMaxServeDuration) {
+    complain("drain_timeout must be in [0, 24h] (got " +
              std::to_string(drain_timeout.count()) + "ms)");
   }
   if (sndbuf < 0) {

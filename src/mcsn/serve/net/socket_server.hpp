@@ -116,10 +116,11 @@ struct SocketOptions {
   std::size_t max_inflight = 64;
   /// Close a connection with no read/write progress for this long — even
   /// with responses owed (a peer that stopped reading would otherwise
-  /// pin its encoded backlog forever). Zero disables idle teardown.
+  /// pin its encoded backlog forever). Zero disables idle teardown; at
+  /// most kMaxServeDuration (24 h).
   std::chrono::milliseconds idle_timeout{30000};
   /// Bound on how long stop() waits for pending responses to flush before
-  /// force-closing the remaining connections.
+  /// force-closing the remaining connections; 0 to kMaxServeDuration.
   std::chrono::milliseconds drain_timeout{5000};
   /// SO_SNDBUF for accepted connections, in bytes; 0 keeps the kernel
   /// default. Pinning it disables send-side autotuning — bounds kernel

@@ -48,8 +48,9 @@ Status ServeOptions::validate() const {
     complain("workers must be >= 1 (got " + std::to_string(workers) + ")");
   }
   if (max_lanes < 1) complain("max_lanes must be >= 1 (got 0)");
-  if (flush_window < std::chrono::microseconds(0)) {
-    complain("flush_window must be >= 0 (got " +
+  if (flush_window < std::chrono::microseconds(0) ||
+      flush_window > kMaxServeDuration) {
+    complain("flush_window must be in [0, 24h] (got " +
              std::to_string(flush_window.count()) + "us)");
   }
   if (max_inflight < 1) complain("max_inflight must be >= 1 (got 0)");

@@ -56,6 +56,12 @@
 
 namespace mcsn {
 
+/// Longest duration a serve-layer option accepts (ServeOptions::flush_window,
+/// net::SocketOptions::idle_timeout and drain_timeout); validate() rejects
+/// longer ones. A fixed bound, not a knob: at 24 h neither the conversion to
+/// nanoseconds nor a steady_clock `now + duration` can overflow.
+inline constexpr std::chrono::hours kMaxServeDuration{24};
+
 struct ServeOptions {
   /// Worker threads draining the batcher and executing lane groups.
   int workers = 1;
@@ -63,7 +69,8 @@ struct ServeOptions {
   /// values span several lane groups per flush, smaller trade throughput
   /// for latency.
   std::size_t max_lanes = 256;
-  /// Max time a request waits for lane-mates before a partial flush.
+  /// Max time a request waits for lane-mates before a partial flush;
+  /// 0 to kMaxServeDuration (24 h).
   std::chrono::microseconds flush_window{200};
   /// Backpressure bound: admitted-but-unfinished rounds before submit()
   /// blocks — the only thing submit() waits on.

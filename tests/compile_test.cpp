@@ -1,5 +1,5 @@
 // Differential tests for the compiled, levelized batch engine: every backend
-// width (scalar, 64-lane, 256-lane, BatchEvaluator) must be bit-identical to
+// width (64-lane, 256-lane, BatchEvaluator) must be bit-identical to
 // the legacy node-walking evaluator on all catalog networks and widths,
 // including partial final lane groups and thread-sharded batches.
 
@@ -60,8 +60,8 @@ std::vector<Netlist> catalog_netlists(std::size_t bits) {
   return nls;
 }
 
-// The heart of the differential suite: legacy node-walk vs compiled scalar,
-// 64-lane, and 256-lane backends on the same corpus, every output lane.
+// The heart of the differential suite: legacy node-walk vs compiled 64-lane
+// and 256-lane backends on the same corpus, every output lane.
 TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
   constexpr int kVectors = 300;  // > 256: exercises a partial wide group
   for (const std::size_t bits : {1u, 3u, 8u}) {
@@ -87,20 +87,8 @@ TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
         want.push_back(out);
       }
 
-      // Compiled scalar.
-      const CompiledProgram prog = CompiledProgram::compile(nl);
-      CompiledExecutor<ScalarBackend> scalar(prog);
-      std::vector<Trit> sin(width);
-      for (int v = 0; v < kVectors; ++v) {
-        for (std::size_t i = 0; i < width; ++i) sin[i] = corpus[v][i];
-        scalar.run(sin);
-        for (std::size_t o = 0; o < outs; ++o) {
-          ASSERT_EQ(scalar.output_lane(o, 0), want[v][o])
-              << nl.name() << " scalar v=" << v << " o=" << o;
-        }
-      }
-
       // Compiled 64-lane and 256-lane, with partial final groups.
+      const CompiledProgram prog = CompiledProgram::compile(nl);
       auto check_packed = [&](auto backend_tag, const char* label) {
         using Backend = decltype(backend_tag);
         CompiledExecutor<Backend> exec(prog);
@@ -157,12 +145,12 @@ TEST(Compile, DeadNodeEliminationDropsUnobservableGates) {
   EXPECT_EQ(nl.gate_count(), 4u);
 
   // Outputs agree with legacy on the full ternary input space.
-  CompiledExecutor<ScalarBackend> exec(dense);
+  CompiledExecutor<Packed64Backend> exec(dense);
   for (const Trit ta : kAllTrits) {
     for (const Trit tb : kAllTrits) {
       const Trit want = evaluate(nl, Word{ta, tb})[0];
-      const Trit in[2] = {ta, tb};
-      exec.run(std::span<const Trit>(in, 2));
+      const PackedTrit in[2] = {PackedTrit::splat(ta), PackedTrit::splat(tb)};
+      exec.run(std::span<const PackedTrit>(in, 2));
       EXPECT_EQ(exec.output_lane(0, 0), want);
     }
   }
@@ -183,9 +171,10 @@ TEST(Compile, DeadInputsGetNoSlotButStayAddressable) {
   EXPECT_EQ(prog.const_inits()[0].value, Trit::one);
 
   // The executor still takes both inputs and ignores the dead one.
-  CompiledExecutor<ScalarBackend> exec(prog);
-  const Trit in[2] = {Trit::meta, Trit::one};
-  exec.run(std::span<const Trit>(in, 2));
+  CompiledExecutor<Packed64Backend> exec(prog);
+  const PackedTrit in[2] = {PackedTrit::splat(Trit::meta),
+                            PackedTrit::splat(Trit::one)};
+  exec.run(std::span<const PackedTrit>(in, 2));
   EXPECT_EQ(exec.output_lane(0, 0), Trit::meta);
 }
 
@@ -322,7 +311,7 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
 }
 
 // run_flat (the blocked transposes plus reused slots) against the node walk
-// and the scalar and 64-lane executors, on shapes whose widths are not
+// and the 64-lane executor, on shapes whose widths are not
 // multiples of 8, at round counts around every 8/64/256 boundary, on
 // arbitrary trits (metastable ones included), sharded over 4 threads.
 TEST(Compile, RunFlatMatchesEveryBackendAcrossShapesAndRoundCounts) {
@@ -349,8 +338,8 @@ TEST(Compile, RunFlatMatchesEveryBackendAcrossShapesAndRoundCounts) {
     std::vector<Trit> in(kMaxRounds * width);
     for (Trit& t : in) t = trit_from_index(static_cast<int>(rng.below(3)));
 
-    // References for all kMaxRounds rounds: node walk, then the scalar
-    // and 64-lane executors checked against it.
+    // References for all kMaxRounds rounds: node walk, then the 64-lane
+    // executor checked against it.
     std::vector<Trit> want(kMaxRounds * outs);
     NodeWalkEvaluator walk(nl);
     Word out;
@@ -360,7 +349,6 @@ TEST(Compile, RunFlatMatchesEveryBackendAcrossShapesAndRoundCounts) {
       for (std::size_t o = 0; o < outs; ++o) want[r * outs + o] = out[o];
     }
     const CompiledProgram prog = CompiledProgram::compile(nl);
-    CompiledExecutor<ScalarBackend> scalar(prog);
     CompiledExecutor<Packed64Backend> packed64(prog);
     std::vector<PackedTrit> lanes(width);
     for (std::size_t base = 0; base < kMaxRounds; base += 64) {
@@ -372,10 +360,7 @@ TEST(Compile, RunFlatMatchesEveryBackendAcrossShapesAndRoundCounts) {
       packed64.run(lanes);
       for (int lane = 0; lane < 64; ++lane) {
         const std::size_t r = base + static_cast<std::size_t>(lane);
-        scalar.run(std::span<const Trit>(in).subspan(r * width, width));
         for (std::size_t o = 0; o < outs; ++o) {
-          ASSERT_EQ(scalar.output_lane(o, 0), want[r * outs + o])
-              << "scalar r=" << r << " o=" << o;
           ASSERT_EQ(packed64.output_lane(o, lane), want[r * outs + o])
               << "packed64 r=" << r << " o=" << o;
         }

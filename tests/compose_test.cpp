@@ -8,7 +8,7 @@
 //   2. comparator-level differential vs std::sort for every n up to 32;
 //   3. gate-level differential vs the rank-sort reference on random valid
 //      and marginal (metastable) measurements for every n up to 32;
-//   4. every compiled program passes verify_ir, and the scalar / 64-lane /
+//   4. every compiled program passes verify_ir, and the 64-lane and
 //      256-lane backends agree with the node-walking evaluator.
 
 #include "mcsn/nets/compose/compose.hpp"
@@ -265,7 +265,7 @@ TEST(Compose, VerifyIrPassesOnEveryComposedProgram) {
 
 TEST(Compose, AllBackendsMatchLegacyOnComposedNetworks) {
   // The compile_test differential, pointed at composer-generated netlists:
-  // node-walking reference vs scalar, 64-lane and 256-lane executors on
+  // node-walking reference vs 64-lane and 256-lane executors on
   // random ternary inputs (arbitrary trits stress every gate path).
   constexpr int kVectors = 80;
   const ComparatorNetwork nets[] = {
@@ -306,14 +306,17 @@ TEST(Compose, AllBackendsMatchLegacyOnComposedNetworks) {
     const CompiledProgram prog = CompiledProgram::compile(nl);
     ASSERT_TRUE(verify_ir(prog).ok());
 
-    CompiledExecutor<ScalarBackend> scalar(prog);
-    std::vector<Trit> sin(width);
+    // One vector per run: every lane carries it, lane 0 is read.
+    CompiledExecutor<Packed64Backend> single(prog);
+    std::vector<PackedTrit> sin(width);
     for (int v = 0; v < kVectors; ++v) {
-      for (std::size_t i = 0; i < width; ++i) sin[i] = corpus[v][i];
-      scalar.run(sin);
+      for (std::size_t i = 0; i < width; ++i) {
+        sin[i] = PackedTrit::splat(corpus[v][i]);
+      }
+      single.run(sin);
       for (std::size_t o = 0; o < outs; ++o) {
-        ASSERT_EQ(scalar.output_lane(o, 0), want[v][o])
-            << "scalar v=" << v << " o=" << o;
+        ASSERT_EQ(single.output_lane(o, 0), want[v][o])
+            << "single v=" << v << " o=" << o;
       }
     }
 

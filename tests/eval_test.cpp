@@ -92,21 +92,23 @@ TEST(Eval, EvaluatorReuseMatchesOneShot) {
   }
 }
 
-// The compiled program on the scalar backend and the node walker are
+// The compiled program (64-lane backend, lane 0) and the node walker are
 // interchangeable: identical outputs on the full ternary input space.
 TEST(Eval, CompiledEvaluatorMatchesNodeWalk) {
   const Netlist nl = mux_circuit();
   const CompiledProgram prog = CompiledProgram::compile(nl);
-  CompiledExecutor<ScalarBackend> compiled(prog);
+  CompiledExecutor<Packed64Backend> compiled(prog);
   NodeWalkEvaluator walk(nl);
   Word want;
   for (const Trit x : kAllTrits) {
     for (const Trit y : kAllTrits) {
       for (const Trit s : kAllTrits) {
         const Trit in[3] = {x, y, s};
-        const std::span<const Trit> span(in, 3);
-        compiled.run(span);
-        walk.run_outputs(span, want);
+        const PackedTrit packed[3] = {PackedTrit::splat(x),
+                                      PackedTrit::splat(y),
+                                      PackedTrit::splat(s)};
+        compiled.run(std::span<const PackedTrit>(packed, 3));
+        walk.run_outputs(std::span<const Trit>(in, 3), want);
         ASSERT_EQ(want.size(), prog.output_count());
         for (std::size_t o = 0; o < want.size(); ++o) {
           ASSERT_EQ(compiled.output_lane(o, 0), want[o]);

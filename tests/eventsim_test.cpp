@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mcsn/ckt/sort2.hpp"
 #include "mcsn/core/valid.hpp"
 #include "mcsn/netlist/eval.hpp"
@@ -125,7 +127,9 @@ TEST(EventSim, VcdExportStructure) {
   sim.set_input(0, Trit::one, 0.0);
   sim.set_input(1, Trit::meta, 10.0);
   sim.run();
-  const std::string vcd = to_vcd(nl, sim);
+  std::ostringstream os;
+  write_vcd(os, nl, sim);
+  const std::string vcd = os.str();
   EXPECT_NE(vcd.find("$timescale 1ps $end"), std::string::npos);
   EXPECT_NE(vcd.find("$var wire 1"), std::string::npos);
   EXPECT_NE(vcd.find("$enddefinitions"), std::string::npos);

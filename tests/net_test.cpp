@@ -634,6 +634,28 @@ TEST(SocketServer, StartValidatesOptionsAndRejectsReuse) {
   EXPECT_EQ(twice.code(), StatusCode::kInvalidArgument);
 }
 
+// A timeout past kMaxServeDuration would overflow `now - last_activity >=
+// idle_timeout` (milliseconds::max() converts to -1 ms, reaping a
+// connection idle for 1 ms) and `now + drain_timeout`.
+TEST(SocketOptions, ValidateRejectsTimeoutsPastMaxServeDuration) {
+  net::SocketOptions opt;
+  opt.idle_timeout = std::chrono::milliseconds::max();
+  opt.drain_timeout = std::chrono::milliseconds::max();
+  const Status s = opt.validate();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  for (const char* knob : {"idle_timeout", "drain_timeout"}) {
+    EXPECT_NE(s.message().find(knob), std::string::npos)
+        << knob << " missing in: " << s.message();
+  }
+
+  opt.idle_timeout = kMaxServeDuration;
+  opt.drain_timeout = kMaxServeDuration;
+  EXPECT_TRUE(opt.validate().ok());
+  opt.drain_timeout = kMaxServeDuration + 1ms;
+  EXPECT_FALSE(opt.validate().ok());
+}
+
 TEST(SocketServer, StopIsIdempotentAndClosesClients) {
   Loopback loop({}, fast_flush());
   net::SortClient client = loop.client();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "mcsn/netlist/dot.hpp"
 
 namespace mcsn {
@@ -90,7 +92,9 @@ TEST(Netlist, DotExportContainsStructure) {
   Netlist nl("tiny");
   const NodeId a = nl.add_input("a");
   nl.mark_output(nl.inv(a), "y");
-  const std::string dot = to_dot(nl);
+  std::ostringstream os;
+  write_dot(os, nl);
+  const std::string dot = os.str();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("inv"), std::string::npos);
   EXPECT_NE(dot.find("->"), std::string::npos);

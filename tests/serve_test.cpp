@@ -801,6 +801,19 @@ TEST(ServeOptions, ValidateNamesEveryBadKnob) {
   }
   // The constructor rejects the same knobs instead of clamping them.
   EXPECT_THROW(SortService{opt}, std::invalid_argument);
+
+  // A window past kMaxServeDuration would overflow the batcher's
+  // nanosecond conversion (microseconds::max() reads back as -1000 ns).
+  ServeOptions huge;
+  huge.flush_window = std::chrono::microseconds::max();
+  const Status h = huge.validate();
+  ASSERT_FALSE(h.ok());
+  EXPECT_EQ(h.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(h.message().find("flush_window"), std::string::npos)
+      << h.message();
+  EXPECT_THROW(SortService{huge}, std::invalid_argument);
+  huge.flush_window = kMaxServeDuration;
+  EXPECT_TRUE(huge.validate().ok());
 }
 
 TEST(SortService, BackpressureBoundsInflight) {

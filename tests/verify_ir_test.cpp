@@ -63,14 +63,11 @@ TEST(VerifyIr, GeneratorFamiliesAndAllBuildersVerify) {
 // The program each lane backend actually executes is the program the
 // verifier blesses: construct every executor flavor and verify the IR it
 // holds. The backends share CompiledProgram, so this pins the claim that
-// "verified at compile()" covers scalar, 64-lane, 256-lane, and batch
-// execution alike.
+// "verified at compile()" covers 64-lane, 256-lane, and batch execution
+// alike.
 TEST(VerifyIr, EveryLaneBackendExecutesAVerifiedProgram) {
   const Netlist nl = elaborate_network(optimal_9(), 8, sort2_builder());
   const CompiledProgram prog = CompiledProgram::compile(nl);
-
-  const CompiledExecutor<ScalarBackend> scalar(prog);
-  EXPECT_TRUE(verify_ir(scalar.program()).ok());
 
   const CompiledExecutor<Packed64Backend> packed64(prog);
   EXPECT_TRUE(verify_ir(packed64.program()).ok());

@@ -5,11 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "mcsn/ckt/bincomp.hpp"
 #include "mcsn/ckt/sort2.hpp"
 
 namespace mcsn {
 namespace {
+
+std::string verilog_text(const Netlist& nl) {
+  std::ostringstream os;
+  write_verilog(os, nl);
+  return os.str();
+}
 
 std::size_t count_occurrences(const std::string& haystack,
                               const std::string& needle) {
@@ -26,7 +35,7 @@ TEST(Verilog, SmallCircuitStructure) {
   const NodeId a = nl.add_input("a");
   const NodeId b = nl.add_input("b");
   nl.mark_output(nl.or2(nl.and2(a, b), nl.inv(a)), "y");
-  const std::string v = to_verilog(nl);
+  const std::string v = verilog_text(nl);
   EXPECT_NE(v.find("module demo (a, b, y);"), std::string::npos);
   EXPECT_NE(v.find("input a;"), std::string::npos);
   EXPECT_NE(v.find("output y;"), std::string::npos);
@@ -43,7 +52,7 @@ TEST(Verilog, BusNamesSanitized) {
   Netlist nl("bus");
   const Bus g = nl.add_input_bus("g", 2);
   nl.mark_output_bus({nl.inv(g[0]), nl.inv(g[1])}, "max");
-  const std::string v = to_verilog(nl);
+  const std::string v = verilog_text(nl);
   EXPECT_NE(v.find("g_0"), std::string::npos);
   EXPECT_NE(v.find("max_1"), std::string::npos);
   EXPECT_EQ(v.find('['), std::string::npos);  // no raw brackets anywhere
@@ -51,7 +60,7 @@ TEST(Verilog, BusNamesSanitized) {
 
 TEST(Verilog, Sort2InstanceCountsMatchGateCounts) {
   const Netlist nl = make_sort2(8);
-  const std::string v = to_verilog(nl);
+  const std::string v = verilog_text(nl);
   const auto hist = nl.gate_histogram();
   EXPECT_EQ(count_occurrences(v, "AND2_X1 "),
             hist[static_cast<int>(CellKind::and2)]);
@@ -65,7 +74,7 @@ TEST(Verilog, Sort2InstanceCountsMatchGateCounts) {
 
 TEST(Verilog, ExtendedCellsUseThreePinConventions) {
   const Netlist nl = make_bincomp(4);
-  const std::string v = to_verilog(nl);
+  const std::string v = verilog_text(nl);
   EXPECT_NE(v.find("MUX2_X1"), std::string::npos);
   EXPECT_NE(v.find(".S("), std::string::npos);   // mux select pin
   EXPECT_NE(v.find("XNOR2_X1"), std::string::npos);
@@ -78,7 +87,7 @@ TEST(Verilog, ConstantsEmitLiterals) {
   const NodeId c = nl.constant(true);
   const NodeId a = nl.add_input("a");
   nl.mark_output(nl.and2(c, a), "y");
-  const std::string v = to_verilog(nl);
+  const std::string v = verilog_text(nl);
   EXPECT_NE(v.find("1'b1"), std::string::npos);
 }
 

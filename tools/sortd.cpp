@@ -66,7 +66,8 @@
 //
 // Any flag outside the usage text, a value on a mode switch, a positional
 // argument, or a numeric value that does not parse whole ("--listen 80x")
-// prints the usage and exits 2.
+// prints the usage and exits 2. So does a duration past 24 h
+// (--window-us, --idle-timeout-ms; kMaxServeDuration in serve/service.hpp).
 
 #include <algorithm>
 #include <atomic>
@@ -489,14 +490,17 @@ bool flags_usable(const CliArgs& args) {
 
 int usage() {
   std::cerr << "usage: tool_sortd [--channels C>=2] [--bits 1..16]"
-               " [--workers W>=1] [--window-us U>=0] [--max-lanes L>=1]"
+               " [--workers W>=1] [--window-us 0..86400000000]"
+               " [--max-lanes L>=1]"
                " [--max-inflight N>=1] [--rate R>0] [--duration-s S>0]"
                " [--seed S] [--pool-capacity N>=0] [--warmup CxB[,CxB...]]"
                " [--stdin | --framed | --encode-frames |"
                " --decode-frames | --listen PORT | --listen-unix PATH]\n"
                "       server knobs: [--host H] [--loops N>=1]"
                " [--max-conns N>=1] [--conn-inflight N>=1]"
-               " [--idle-timeout-ms T>=0]\n"
+               " [--idle-timeout-ms 0..86400000]\n"
+               "       durations: at most 24 h (--window-us,"
+               " --idle-timeout-ms)\n"
                "       observability: [--metrics-format json|prometheus]"
                " [--stats-interval SECS>=0]  (SIGUSR1 dumps now)\n";
   return 2;
