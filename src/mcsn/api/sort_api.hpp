@@ -133,8 +133,9 @@ struct SortRequest {
                                                        std::size_t rounds,
                                                        std::vector<Trit> flat);
 
-  /// Re-checks the invariants the factories establish (payload length,
-  /// shape bounds) — for requests decoded from the wire or hand-built.
+  /// The invariants every factory establishes (shape bounds, round count,
+  /// batch bounds, payload length) — the factories return its status; call
+  /// it again for requests decoded from the wire or hand-built.
   [[nodiscard]] Status validate() const;
 
   /// Convenience: deadline = now + budget.

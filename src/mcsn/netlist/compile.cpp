@@ -186,39 +186,11 @@ BatchEvaluator::BatchEvaluator(const Netlist& nl, const BatchOptions& opt)
     : prog_(CompiledProgram::compile(nl)),
       parallel_(opt.threads > 0
                     ? opt.threads
-                    : (opt.pool
-                           ? static_cast<int>(opt.pool->parallelism())
-                           : static_cast<int>(
-                                 ThreadPool::hardware_parallelism()))),
-      pool_(opt.pool) {}
-
-BatchEvaluator::BatchEvaluator(BatchEvaluator&& other) noexcept
-    : prog_(std::move(other.prog_)),
-      parallel_(other.parallel_) {
-  std::lock_guard lock(other.pool_mu_);
-  pool_ = std::move(other.pool_);
-}
-
-BatchEvaluator& BatchEvaluator::operator=(BatchEvaluator&& other) noexcept {
-  if (this != &other) {
-    prog_ = std::move(other.prog_);
-    parallel_ = other.parallel_;
-    std::scoped_lock lock(pool_mu_, other.pool_mu_);
-    pool_ = std::move(other.pool_);
-  }
-  return *this;
-}
-
-ThreadPool* BatchEvaluator::acquire_pool() const {
-  std::lock_guard lock(pool_mu_);
-  if (!pool_ && parallel_ > 1) {
-    // Lazily owned, created once and kept: construction cost (the only
-    // thread spawns this evaluator ever performs) is paid on the first
-    // parallel run_flat(), never per call.
-    pool_ = std::make_shared<ThreadPool>(
+                    : static_cast<int>(ThreadPool::hardware_parallelism())) {
+  if (parallel_ > 1) {
+    pool_ = std::make_unique<ThreadPool>(
         static_cast<std::size_t>(parallel_ - 1));
   }
-  return pool_.get();
 }
 
 void BatchEvaluator::run_flat(std::span<const Trit> inputs,
@@ -260,7 +232,7 @@ void BatchEvaluator::run_flat(std::span<const Trit> inputs,
   if (shards <= 1) {
     shard(0, 1);
   } else {
-    acquire_pool()->run_and_wait(
+    pool_->run_and_wait(
         shards, [&](std::size_t t) { shard(t, shards); });
   }
 }

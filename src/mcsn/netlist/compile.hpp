@@ -24,14 +24,13 @@
 // One CompiledProgram serves every backend width: the 64-lane PackedTrit
 // backend and the 256-lane PackedTrit256 backend.
 // BatchEvaluator packs arbitrary numbers of input vectors into wide lane
-// groups and optionally shards groups across a persistent ThreadPool
-// (injected or lazily owned — never a std::thread spawn per run_flat()).
+// groups and optionally shards groups across a ThreadPool it starts once,
+// at construction — never a std::thread spawn per run_flat().
 
 #include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -221,28 +220,21 @@ class CompiledExecutor {
 // --- Batch evaluation -------------------------------------------------------
 
 struct BatchOptions {
-  /// Parallelism target: 0 = auto (hardware concurrency), 1 = serial.
-  /// run_flat() shards 256-lane groups across this many threads (capped by
-  /// the group count).
-  int threads = 0;
-  /// Executor pool shared with other owners (e.g. one pool for a whole
-  /// SortService). When null and the effective parallelism exceeds 1, the
-  /// evaluator lazily creates a private pool on first parallel run_flat()
-  /// and keeps it — run_flat() never constructs threads per call either way.
-  std::shared_ptr<ThreadPool> pool;
+  /// Parallelism target: 1 = serial, 0 = hardware concurrency. run_flat()
+  /// shards 256-lane groups across this many threads (capped by the group
+  /// count); above 1 the evaluator starts a pool of threads - 1 workers
+  /// when it is constructed.
+  int threads = 1;
 };
 
 /// High-throughput evaluation of many input vectors: transposes them into
 /// 256-lane groups (pack_lanes), runs the compiled program per group, and
-/// transposes the outputs back (unpack_lanes), distributing work over a
-/// persistent ThreadPool when profitable (one shard of lane groups per
-/// thread). Thread-safe: concurrent run_flat() calls share the pool.
+/// transposes the outputs back (unpack_lanes), distributing work over its
+/// ThreadPool when it has one (one shard of lane groups per thread).
+/// Thread-safe: concurrent run_flat() calls share the pool.
 class BatchEvaluator {
  public:
   explicit BatchEvaluator(const Netlist& nl, const BatchOptions& opt = {});
-
-  BatchEvaluator(BatchEvaluator&& other) noexcept;
-  BatchEvaluator& operator=(BatchEvaluator&& other) noexcept;
 
   [[nodiscard]] std::size_t input_width() const noexcept {
     return prog_.input_count();
@@ -252,16 +244,6 @@ class BatchEvaluator {
   }
   [[nodiscard]] const CompiledProgram& program() const noexcept {
     return prog_;
-  }
-
-  /// Effective parallelism target (threads knob resolved against hardware).
-  [[nodiscard]] int parallelism() const noexcept { return parallel_; }
-
-  /// The pool run_flat() distributes onto, or nullptr while still serial
-  /// (no parallel run_flat() happened yet and none was injected).
-  [[nodiscard]] const ThreadPool* pool() const noexcept {
-    std::lock_guard lock(pool_mu_);
-    return pool_.get();
   }
 
   /// `inputs` holds N input vectors back to back (N x input_width() trits,
@@ -276,16 +258,9 @@ class BatchEvaluator {
   void run_flat(std::span<const Trit> inputs, std::span<Trit> outputs) const;
 
  private:
-  /// The shared pool, creating the lazily-owned one on first need.
-  [[nodiscard]] ThreadPool* acquire_pool() const;
-
   CompiledProgram prog_;
   int parallel_ = 1;
-  // The injected pool, or the lazily-created owned one (when
-  // BatchOptions::pool is null): guarded so that concurrent const
-  // run_flat() calls race safely on first use.
-  mutable std::mutex pool_mu_;
-  mutable std::shared_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;  // null when parallel_ <= 1
 };
 
 }  // namespace mcsn

@@ -53,12 +53,11 @@ std::optional<EquivMismatch> check_equivalence(const Netlist& a,
   const bool exhaustive = !overflow && total <= opt.exhaustive_bound;
 
   // Both netlists compile to dense, dead-node-eliminated programs; each
-  // chunk of vectors goes through both in one flat run_flat() call, and the
-  // vectors are compared in generation order, so the first mismatch found
+  // chunk of vectors goes through both in one serial run_flat() call, and
+  // the vectors are compared in generation order, so the first mismatch found
   // is the first mismatching vector.
-  const BatchOptions serial{.threads = 1, .pool = nullptr};
-  const BatchEvaluator eva(a, serial);
-  const BatchEvaluator evb(b, serial);
+  const BatchEvaluator eva(a);
+  const BatchEvaluator evb(b);
   constexpr std::uint64_t kChunk = 4096;
   std::vector<Trit> inputs;
   std::vector<Trit> out_a;

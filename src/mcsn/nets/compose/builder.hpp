@@ -1,53 +1,21 @@
 #pragma once
 // NetworkBuilder — the one entry point for "give me an MC sorting network
-// for n channels". Routes between the optimal catalog (n <= 10), the
-// recursive odd-even composition and the PPC construction (compose.hpp)
-// under one policy knob, and reports unsupported/invalid shapes through
-// StatusOr instead of exceptions — so the serve path can turn them into
-// proper wire-visible error frames.
+// for n channels". n <= 10 serves the depth-optimal catalog network; larger
+// n serves the smallest (size, then depth) of the recursive odd-even
+// composition and the two PPC constructions (compose.hpp). Unsupported or
+// invalid shapes come back through StatusOr instead of exceptions — so the
+// serve path can turn them into proper wire-visible error frames.
 
 #include "mcsn/api/status.hpp"
-#include "mcsn/ckt/ppc.hpp"
 #include "mcsn/nets/network.hpp"
 
 namespace mcsn {
 
-/// What the builder optimizes when several routes can produce the shape.
-enum class BuildPolicy {
-  /// Fewest comparators; ties broken by depth. Gate count dominates
-  /// serving throughput, so this is the throughput policy.
-  smallest_size,
-  /// Fewest layers; ties broken by size. Also switches the 2-sort's
-  /// internal PPC topology to the depth-minimal sklansky cone (the
-  /// arXiv 1911.00267 depth-optimality lever), via BuiltNetwork.
-  smallest_depth,
-  /// smallest_size selection with the catalog's historical tie-breaks
-  /// (prefer_depth picks the 10-channel variant) and no 2-sort override.
-  auto_select,
-};
-
-[[nodiscard]] std::string_view build_policy_name(BuildPolicy policy) noexcept;
-
-/// Which construction produced the network.
-enum class BuildRoute { catalog, composed, ppc };
-
-[[nodiscard]] std::string_view build_route_name(BuildRoute route) noexcept;
-
 struct BuiltNetwork {
   ComparatorNetwork network;
-  BuildRoute route = BuildRoute::catalog;
-  /// The PPC topology the bit-level 2-sort elaboration should use so the
-  /// policy holds at gate level, not just comparator level: sklansky
-  /// (depth ceil(log2 B)) under smallest_depth, the paper's
-  /// ladner_fischer otherwise. Applied by McSorter for smallest_depth;
-  /// advisory for other policies.
-  PpcTopology sort2_topology = PpcTopology::ladner_fischer;
 };
 
 struct NetworkBuilderOptions {
-  BuildPolicy policy = BuildPolicy::auto_select;
-  /// Catalog tie-break under auto_select where two optima differ (n = 10).
-  bool prefer_depth = true;
   /// Shapes above this come back kUnimplemented instead of compiling a
   /// program with millions of gates on the serve path. Raise deliberately.
   int max_channels = 4096;
@@ -59,12 +27,8 @@ class NetworkBuilder {
 
   /// A verified-construction network for `channels`, or:
   ///   kInvalidArgument — channels < 1
-  ///   kUnimplemented   — channels > options().max_channels
+  ///   kUnimplemented   — channels > max_channels
   [[nodiscard]] StatusOr<BuiltNetwork> build(int channels) const;
-
-  [[nodiscard]] const NetworkBuilderOptions& options() const noexcept {
-    return opt_;
-  }
 
  private:
   NetworkBuilderOptions opt_;

@@ -31,8 +31,6 @@ MicroBatcher::AddResult MicroBatcher::add(
   if (shard.requests.empty()) {
     shard.sorter = std::move(sorter);
     shard.oldest = now;
-    shard.requests.reserve(max_lanes_);
-    shard.flat.reserve(max_lanes_ * pending.request.shape.trits());
     result.window_started = true;
   }
   // Stage the payload contiguously; from here on the group owns the trits,

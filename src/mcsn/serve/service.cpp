@@ -11,26 +11,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Throws on any out-of-range knob (validate()'s message), then fills in
-/// the defaults the service runs with.
+/// the registry default.
 ServeOptions sanitize(ServeOptions opt) {
   if (Status s = opt.validate(); !s.ok()) {
     throw std::invalid_argument(s.message());
-  }
-  // Engine parallelism is one persistent pool shared by every worker and
-  // every pooled sorter (see ServeOptions::sorter), so thread count is
-  // additive (workers + pool), never multiplicative. With no pool and no
-  // explicit thread count the engine stays serial inside a worker — the
-  // workers knob remains the service's parallelism unit.
-  BatchOptions& batch = opt.sorter.batch;
-  if (batch.pool) {
-    if (batch.threads <= 0) {
-      batch.threads = static_cast<int>(batch.pool->parallelism());
-    }
-  } else if (batch.threads > 1) {
-    batch.pool =
-        std::make_shared<ThreadPool>(static_cast<std::size_t>(batch.threads - 1));
-  } else {
-    batch.threads = 1;
   }
   if (!opt.registry) opt.registry = std::make_shared<MetricsRegistry>();
   return opt;
@@ -54,9 +38,10 @@ Status ServeOptions::validate() const {
              std::to_string(flush_window.count()) + "us)");
   }
   if (max_inflight < 1) complain("max_inflight must be >= 1 (got 0)");
-  if (sorter.batch.threads < 0) {
-    complain("sorter.batch.threads must be >= 0 (got " +
-             std::to_string(sorter.batch.threads) + ")");
+  if (sorter.batch.threads != 1) {
+    complain("sorter.batch.threads must be 1 (got " +
+             std::to_string(sorter.batch.threads) +
+             "): workers is the service's parallelism");
   }
   if (sorter.max_channels < 1) {
     complain("sorter.max_channels must be >= 1 (got " +

@@ -67,7 +67,8 @@ struct ServeOptions {
   int workers = 1;
   /// Lane-group target per batch; 256 fills one wide engine pass. Larger
   /// values span several lane groups per flush, smaller trade throughput
-  /// for latency.
+  /// for latency. Only a flush threshold: shards grow as they fill, so
+  /// max_inflight, not this, bounds what they hold.
   std::size_t max_lanes = 256;
   /// Max time a request waits for lane-mates before a partial flush;
   /// 0 to kMaxServeDuration (24 h).
@@ -75,18 +76,9 @@ struct ServeOptions {
   /// Backpressure bound: admitted-but-unfinished rounds before submit()
   /// blocks — the only thing submit() waits on.
   std::size_t max_inflight = 4096;
-  /// Knobs for pooled sorters (network choice, sort2 style, engine).
-  ///
-  /// Engine threading composes with the service's workers through one
-  /// shared ThreadPool instead of nesting thread sets per worker:
-  ///   * sorter.batch.pool set      — every pooled sorter shards onto that
-  ///     pool (inject one pool to share it across services and other
-  ///     BatchEvaluator owners);
-  ///   * sorter.batch.threads > 1   — the service creates one pool of
-  ///     threads - 1 workers shared by all shapes and all workers;
-  ///   * sorter.batch.threads == 0  — engine stays serial inside a worker
-  ///     (the workers knob is the service's parallelism unit by default).
-  /// Total thread count is workers + pool size — never workers x threads.
+  /// Knobs for pooled sorters (channel bound, 2-sort elaboration). The
+  /// engine runs serially inside a worker — workers is the service's
+  /// parallelism — so validate() requires sorter.batch.threads == 1.
   McSorterOptions sorter;
 
   /// Bound on compiled shapes kept resident in the sorter pool (0 =
@@ -123,9 +115,9 @@ struct ServeOptions {
 class SortService {
  public:
   /// Throws std::invalid_argument with opt.validate()'s message when a
-  /// knob is out of range; otherwise fills in the registry and engine-pool
-  /// defaults and starts the worker threads. The service is ready for
-  /// submit() when the constructor returns.
+  /// knob is out of range; otherwise fills in the registry default and
+  /// starts the worker threads. The service is ready for submit() when
+  /// the constructor returns.
   ///
   /// Thread-safety: every public member is safe to call from any number
   /// of threads concurrently; submissions racing stop() complete with

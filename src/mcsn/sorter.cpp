@@ -24,19 +24,10 @@ BuiltNetwork build_or_throw(int channels, std::size_t bits,
   return std::move(*built);
 }
 
-Sort2Options effective_sort2(const McSorterOptions& opt,
-                             PpcTopology suggested) {
-  Sort2Options sort2 = opt.sort2;
-  // smallest_depth is a whole-stack promise: the comparator network *and*
-  // the 2-sort's internal prefix tree go depth-minimal.
-  if (opt.policy == BuildPolicy::smallest_depth) sort2.topology = suggested;
-  return sort2;
-}
-
 }  // namespace
 
 NetworkBuilderOptions builder_options(const McSorterOptions& opt) noexcept {
-  return NetworkBuilderOptions{opt.policy, opt.prefer_depth, opt.max_channels};
+  return NetworkBuilderOptions{opt.max_channels};
 }
 
 McSorter::McSorter(int channels, std::size_t bits, const McSorterOptions& opt)
@@ -47,9 +38,7 @@ McSorter::McSorter(BuiltNetwork built, std::size_t bits,
     : channels_(checked_shape(built.network.channels(), bits)),
       bits_(bits),
       network_(std::move(built.network)),
-      netlist_(elaborate_network(
-          network_, bits,
-          sort2_builder(effective_sort2(opt, built.sort2_topology)))),
+      netlist_(elaborate_network(network_, bits, sort2_builder(opt.sort2))),
       batch_(netlist_, opt.batch) {}
 
 CircuitStats McSorter::stats() const { return compute_stats(netlist_); }

@@ -1,9 +1,10 @@
 #pragma once
 // High-level facade: an n-channel, B-bit metastability-containing sorter.
 //
-// Wraps network selection, elaboration, evaluation and containment
-// accounting behind a movable class, so downstream users can sort rounds
-// of (possibly marginal) Gray code measurements in a few lines:
+// Wraps network construction (NetworkBuilder: the optimal catalog up to 10
+// channels, the smallest composition beyond), elaboration, evaluation and
+// containment accounting behind a movable class, so downstream users can
+// sort rounds of (possibly marginal) Gray code measurements in a few lines:
 //
 //   McSorter sorter(10, 8);                       // 10 channels, 8 bits
 //   SortResponse rsp = sorter.sort_request(
@@ -28,23 +29,15 @@
 namespace mcsn {
 
 struct McSorterOptions {
-  /// Catalog tie-break under auto_select where two optima differ (n = 10):
-  /// prefer minimal depth (true) or minimal comparator count (false).
-  bool prefer_depth = true;
-  /// Network construction policy (nets/compose/builder.hpp): any channel
-  /// count is servable — n <= 10 uses the optimal catalog, larger n picks
-  /// between recursive odd-even composition over the catalog leaves and
-  /// the PPC construction. smallest_depth also switches the 2-sort's
-  /// internal PPC topology to the depth-minimal sklansky cone, overriding
-  /// sort2.topology.
-  BuildPolicy policy = BuildPolicy::auto_select;
   /// Channel bound forwarded to NetworkBuilder: construction beyond this
   /// is refused (kUnimplemented through the pool, std::invalid_argument
   /// from the constructor) instead of compiling unboundedly large
   /// programs on demand.
   int max_channels = 4096;
+  /// The 2-sort elaborated at every comparator; PpcTopology::sklansky is
+  /// the depth-minimal prefix cone (arXiv 1911.00267).
   Sort2Options sort2;
-  /// Batch engine knobs (thread sharding) used by sort_batch_flat.
+  /// Engine thread count used by sort_batch_flat.
   BatchOptions batch;
 };
 

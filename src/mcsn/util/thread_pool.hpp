@@ -15,10 +15,9 @@
 // with zero thread overhead). It blocks until every index has finished and
 // rethrows the first task exception.
 //
-// The pool is safe to share between several concurrent owners: batches from
-// different callers are queued FIFO and each caller only blocks on its own
-// batch. This is what lets one bounded pool serve N service workers x M
-// pooled sorters without workers x threads oversubscription.
+// Concurrent run_and_wait callers are safe: batches from different callers
+// are queued FIFO and each caller only blocks on its own batch. Its owner is
+// a BatchEvaluator with threads > 1, which starts it once, at construction.
 
 #include <condition_variable>
 #include <cstddef>
@@ -45,11 +44,6 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return workers_.size();
-  }
-
-  /// Parallel lanes a run_and_wait can use: workers + the calling thread.
-  [[nodiscard]] std::size_t parallelism() const noexcept {
-    return workers_.size() + 1;
   }
 
   /// Invokes task(i) exactly once for every i in [0, n), on the workers and

@@ -113,10 +113,8 @@ TEST(Compile, AllBackendsMatchLegacyOnCatalogNetworks) {
       check_packed(Packed64Backend{}, "packed64");
       check_packed(Packed256Backend{}, "packed256");
 
-      // BatchEvaluator over the whole corpus at once.
-      BatchOptions serial_opt;
-      serial_opt.threads = 1;
-      const BatchEvaluator batch(nl, serial_opt);
+      // BatchEvaluator (serial by default) over the whole corpus at once.
+      const BatchEvaluator batch(nl);
       const std::vector<Trit> got = run_flat(batch, corpus);
       ASSERT_EQ(got.size(), kVectors * outs);
       for (int v = 0; v < kVectors; ++v) {
@@ -265,18 +263,16 @@ TEST(Compile, ThreadShardedBatchMatchesSerial) {
   for (int v = 0; v < 600; ++v) {
     corpus.push_back(random_ternary(rng, nl.inputs().size()));
   }
-  BatchOptions serial_opt;
-  serial_opt.threads = 1;
   BatchOptions sharded_opt;
   sharded_opt.threads = 3;
-  const BatchEvaluator serial(nl, serial_opt);
+  const BatchEvaluator serial(nl);
   const BatchEvaluator sharded(nl, sharded_opt);
   EXPECT_EQ(run_flat(serial, corpus), run_flat(sharded, corpus));
 }
 
-// The acceptance property of the pool rewire: run_flat() never constructs a
-// thread. The pool is built at most once (lazily or injected); repeated and
-// concurrent runs reuse it, observed through the process-wide spawn counter.
+// run_flat() never constructs a thread: the evaluator starts its pool
+// (threads - 1 workers) once, at construction, and repeated runs reuse it,
+// observed through the process-wide spawn counter.
 TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
   const Netlist nl =
       elaborate_network(optimal_7(), 4, sort2_builder(), "pool_reuse");
@@ -288,26 +284,16 @@ TEST(Compile, BatchRunConstructsZeroThreadsPerCall) {
 
   BatchOptions opt;
   opt.threads = 3;
+  const std::uint64_t before = ThreadPool::threads_started();
   const BatchEvaluator be(nl, opt);
-  const std::vector<Trit> first = run_flat(be, corpus);  // spawns the pool
-  EXPECT_NE(be.pool(), nullptr);
+  EXPECT_EQ(ThreadPool::threads_started(), before + 2);
 
-  const std::uint64_t spawned = ThreadPool::threads_started();
+  const std::vector<Trit> first = run_flat(be, corpus);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(run_flat(be, corpus), first);
   }
-  EXPECT_EQ(ThreadPool::threads_started(), spawned)
+  EXPECT_EQ(ThreadPool::threads_started(), before + 2)
       << "BatchEvaluator::run_flat must not construct threads per call";
-
-  // Injected pool: shared across evaluators, and still zero spawns per run.
-  const auto shared = std::make_shared<ThreadPool>(2);
-  BatchOptions inj;
-  inj.pool = shared;
-  const BatchEvaluator be2(nl, inj);
-  const std::uint64_t spawned2 = ThreadPool::threads_started();
-  EXPECT_EQ(run_flat(be2, corpus), first);
-  EXPECT_EQ(be2.pool(), shared.get());
-  EXPECT_EQ(ThreadPool::threads_started(), spawned2);
 }
 
 // run_flat (the blocked transposes plus reused slots) against the node walk

@@ -1,6 +1,6 @@
 // The arbitrary-shape construction routes (nets/compose/): generalized
 // odd-even merge, recursive composition over the optimal catalog leaves,
-// the PPC construction, and the NetworkBuilder policy/status surface.
+// the PPC construction, and the NetworkBuilder choice/status surface.
 //
 // Verification ladder, weakest to strongest:
 //   1. 0-1 principle exhaustively (n <= 16) and the merge variant for
@@ -212,17 +212,17 @@ void check_sorter_differential(const McSorter& sorter, std::uint64_t seed,
 
 TEST(Compose, ComposedSorterDifferentialRandomAndMetastableTo32) {
   for (int n = 2; n <= 32; ++n) {
-    McSorter sorter(n, 4);  // auto_select: catalog <= 10, composed beyond
+    McSorter sorter(n, 4);  // catalog <= 10, composed beyond
     check_sorter_differential(sorter, 9000u + static_cast<std::uint64_t>(n),
                               8);
   }
 }
 
-TEST(Compose, DepthPolicySorterDifferentialTo32) {
-  // smallest_depth also switches the 2-sort elaboration to the sklansky
-  // cone, so this exercises the other gate-level topology end to end.
+TEST(Compose, SklanskySort2SorterDifferentialTo32) {
+  // The depth-minimal sklansky cone inside every 2-sort (the arXiv
+  // 1911.00267 depth lever): the other gate-level topology end to end.
   McSorterOptions opt;
-  opt.policy = BuildPolicy::smallest_depth;
+  opt.sort2.topology = PpcTopology::sklansky;
   for (const int n : {6, 11, 13, 17, 24, 32}) {
     McSorter sorter(n, 4, opt);
     check_sorter_differential(sorter, 9100u + static_cast<std::uint64_t>(n),
@@ -234,10 +234,7 @@ TEST(Compose, PpcSorterDifferentialRandomAndMetastableTo32) {
   for (const PpcTopology topo :
        {PpcTopology::ladner_fischer, PpcTopology::sklansky}) {
     for (const int n : {5, 11, 17, 24, 32}) {
-      BuiltNetwork built;
-      built.network = ppc_sort_network(n, topo);
-      built.route = BuildRoute::ppc;
-      McSorter sorter(std::move(built), 4);
+      McSorter sorter(BuiltNetwork{ppc_sort_network(n, topo)}, 4);
       check_sorter_differential(sorter,
                                 9200u + static_cast<std::uint64_t>(n), 6);
     }
@@ -345,7 +342,7 @@ TEST(Compose, AllBackendsMatchLegacyOnComposedNetworks) {
   }
 }
 
-// --- NetworkBuilder policy / status surface ---------------------------------
+// --- NetworkBuilder choice / status surface ---------------------------------
 
 TEST(NetworkBuilder, MapsDegenerateAndOversizedShapesToStatus) {
   NetworkBuilderOptions opt;
@@ -374,41 +371,76 @@ TEST(NetworkBuilder, RoutesCatalogBelowElevenChannels) {
   for (int n = 1; n <= 10; ++n) {
     const StatusOr<BuiltNetwork> built = builder.build(n);
     ASSERT_TRUE(built.ok());
-    EXPECT_EQ(built->route, BuildRoute::catalog) << n;
     EXPECT_EQ(built->network.channels(), n);
   }
-  // Auto-select keeps the exact historical catalog picks.
+  // The exact historical catalog picks.
   EXPECT_EQ(builder.build(4)->network.size(), 5u);
   EXPECT_EQ(builder.build(9)->network.size(), 25u);
   EXPECT_EQ(builder.build(10)->network.depth(), 7u);
 }
 
-TEST(NetworkBuilder, PolicyPicksSizeOrDepthChampion) {
-  NetworkBuilderOptions size_opt;
-  size_opt.policy = BuildPolicy::smallest_size;
-  NetworkBuilderOptions depth_opt;
-  depth_opt.policy = BuildPolicy::smallest_depth;
+TEST(NetworkBuilder, PicksTheSmallestCandidate) {
+  const NetworkBuilder builder;
   for (const int n : {11, 17, 24, 32}) {
-    const BuiltNetwork by_size = *NetworkBuilder(size_opt).build(n);
-    const BuiltNetwork by_depth = *NetworkBuilder(depth_opt).build(n);
-    EXPECT_LE(by_size.network.size(), by_depth.network.size()) << n;
-    EXPECT_LE(by_depth.network.depth(), by_size.network.depth()) << n;
-    EXPECT_NE(by_size.route, BuildRoute::catalog);
-    // The 1911.00267 depth lever: smallest_depth pushes the sklansky cone
-    // down into the 2-sort elaboration; other policies keep the paper's
-    // ladner_fischer.
-    EXPECT_EQ(by_depth.sort2_topology, PpcTopology::sklansky);
-    EXPECT_EQ(by_size.sort2_topology, PpcTopology::ladner_fischer);
+    const ComparatorNetwork pick = builder.build(n)->network;
+    for (const ComparatorNetwork& candidate :
+         {composed_sort_network(n),
+          ppc_sort_network(n, PpcTopology::ladner_fischer),
+          ppc_sort_network(n, PpcTopology::sklansky)}) {
+      EXPECT_LE(pick.size(), candidate.size())
+          << n << " vs " << candidate.name();
+    }
   }
 }
 
-TEST(NetworkBuilder, NamesPoliciesAndRoutes) {
-  EXPECT_EQ(build_policy_name(BuildPolicy::smallest_size), "smallest_size");
-  EXPECT_EQ(build_policy_name(BuildPolicy::smallest_depth), "smallest_depth");
-  EXPECT_EQ(build_policy_name(BuildPolicy::auto_select), "auto");
-  EXPECT_EQ(build_route_name(BuildRoute::catalog), "catalog");
-  EXPECT_EQ(build_route_name(BuildRoute::composed), "composed");
-  EXPECT_EQ(build_route_name(BuildRoute::ppc), "ppc");
+// Name, size and depth of the served network on a spread of shapes,
+// covering both the catalog and the composed ranges: the builder has one
+// fixed choice, so these must not move.
+TEST(NetworkBuilder, ServesTheParentsNetworks) {
+  const struct {
+    int channels;
+    const char* name;
+    std::size_t size;
+    std::size_t depth;
+  } golden[] = {
+      {1, "1-sort", 0, 0},
+      {2, "2-sort", 1, 1},
+      {3, "3-sort", 3, 3},
+      {4, "4-sort", 5, 3},
+      {5, "5-sort", 9, 5},
+      {6, "6-sort", 12, 5},
+      {7, "7-sort", 16, 6},
+      {8, "8-sort", 19, 6},
+      {9, "9-sort", 25, 8},
+      {10, "10-sortd", 31, 7},
+      {11, "composed-11d", 37, 9},
+      {12, "composed-12d", 41, 9},
+      {13, "composed-13d", 48, 10},
+      {16, "composed-16d", 63, 10},
+      {17, "composed-17d", 73, 12},
+      {20, "composed-20d", 97, 11},
+      {24, "composed-24d", 127, 14},
+      {31, "composed-31d", 186, 15},
+      {32, "composed-32d", 191, 15},
+      {33, "composed-33d", 206, 17},
+      {48, "composed-48d", 367, 20},
+      {64, "composed-64d", 543, 21},
+      {100, "composed-100d", 1077, 28},
+      {128, "composed-128d", 1471, 28},
+      {200, "composed-200d", 2827, 36},
+      {256, "composed-256d", 3839, 36},
+      {500, "composed-500d", 9505, 45},
+      {1000, "composed-1000d", 23499, 55},
+      {1024, "composed-1024d", 24063, 55},
+  };
+  const NetworkBuilder builder;
+  for (const auto& g : golden) {
+    const StatusOr<BuiltNetwork> built = builder.build(g.channels);
+    ASSERT_TRUE(built.ok()) << built.status().to_string();
+    EXPECT_EQ(built->network.name(), g.name) << g.channels;
+    EXPECT_EQ(built->network.size(), g.size) << g.channels;
+    EXPECT_EQ(built->network.depth(), g.depth) << g.channels;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <locale>
 #include <stdexcept>
 #include <string>
@@ -50,14 +51,12 @@ SortRequest request_of(const std::vector<Word>& round) {
 }
 
 // Reference results: all `rounds` (one shape) sorted by one
-// McSorter::sort_batch_flat call on a serial sorter — so it spawns no
-// threads — split into one flat sorted round per input round.
+// McSorter::sort_batch_flat call on a default (serial) sorter, split into
+// one flat sorted round per input round.
 std::vector<std::vector<Trit>> reference_sort(
     const std::vector<std::vector<Word>>& rounds) {
-  McSorterOptions serial;
-  serial.batch.threads = 1;
   const McSorter sorter(static_cast<int>(rounds.front().size()),
-                        rounds.front().front().size(), serial);
+                        rounds.front().front().size());
   std::vector<Trit> flat;
   for (const std::vector<Word>& round : rounds) {
     for (const Word& w : round) flat.insert(flat.end(), w.begin(), w.end());
@@ -525,23 +524,16 @@ TEST(SortService, SubmitBlocksOnlyOnMaxInflight) {
   EXPECT_EQ(counter(service, "serve_completed_total"), kRequests + 1u);
 }
 
-// The engine pool knob: batch.threads > 1 creates ONE pool shared by every
-// worker and shape (never workers x threads), and serving results stay
+// A flush of max_lanes = 512 spans two 256-lane engine groups in one
+// sort_batch_flat call, for two shapes served side by side: results stay
 // bit-identical to direct sort_batch_flat.
-TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
+TEST(SortService, MultiGroupFlushServesCorrectlyAcrossShapes) {
   ServeOptions opt;
   opt.workers = 2;
   opt.flush_window = 200us;
-  // max_lanes spans two 256-lane engine groups, so a full flush actually
-  // shards across the pool — the exact nesting the old sanitize() hack
-  // had to forbid.
   opt.max_lanes = 512;
-  opt.sorter.batch.threads = 3;  // one shared 2-worker pool via sanitize()
   SortService service(opt);
-  ASSERT_NE(service.options().sorter.batch.pool, nullptr);
-  EXPECT_EQ(service.options().sorter.batch.pool->worker_count(), 2u);
 
-  const std::uint64_t spawned = ThreadPool::threads_started();
   Xoshiro256 rng(17);
   struct Shape {
     int channels;
@@ -550,22 +542,36 @@ TEST(SortService, SharedEnginePoolServesCorrectlyAcrossShapes) {
   for (const Shape s : {Shape{4, 4}, Shape{6, 3}}) {
     std::vector<std::vector<Word>> rounds;
     std::vector<std::future<SortResponse>> futures;
-    for (int i = 0; i < 600; ++i) {  // > 512: at least one sharded flush
+    for (int i = 0; i < 600; ++i) {  // > 512: at least one two-group flush
       rounds.push_back(random_round(rng, s.channels, s.bits));
       futures.push_back(service.submit(request_of(rounds.back())));
     }
-    // reference_sort is explicitly serial: default auto-threads would
-    // lazily spawn a pool of its own on multi-core hosts and trip the
-    // spawn assertion.
     const std::vector<std::vector<Trit>> expect = reference_sort(rounds);
     for (std::size_t i = 0; i < futures.size(); ++i) {
       ASSERT_EQ(futures[i].get().payload, expect[i])
           << s.channels << "x" << s.bits << " request " << i;
     }
   }
-  // Every shape's sorter shared the one service pool, and serving spawned
-  // nothing further (the references above are explicitly serial).
-  EXPECT_EQ(ThreadPool::threads_started(), spawned);
+  service.stop();
+}
+
+// A max_lanes far beyond any real batch (here SIZE_MAX) must not make a
+// shard reserve it up front: the request is served, not an exception out
+// of submit().
+TEST(SortService, HugeMaxLanesStillServes) {
+  ServeOptions opt;
+  opt.max_lanes = std::numeric_limits<std::size_t>::max();
+  opt.flush_window = 100us;
+  SortService service(opt);
+  const SortResponse rsp =
+      service
+          .submit(*SortRequest::from_values(SortShape{4, 4},
+                                            std::vector<std::uint64_t>{
+                                                5, 2, 7, 1}))
+          .get();
+  ASSERT_TRUE(rsp.status.ok()) << rsp.status.to_string();
+  EXPECT_EQ(*rsp.values(), (std::vector<std::uint64_t>{1, 2, 5, 7}));
+  EXPECT_EQ(counter(service, "serve_completed_total"), 1u);
   service.stop();
 }
 
@@ -801,6 +807,16 @@ TEST(ServeOptions, ValidateNamesEveryBadKnob) {
   }
   // The constructor rejects the same knobs instead of clamping them.
   EXPECT_THROW(SortService{opt}, std::invalid_argument);
+
+  // The engine runs serially inside a worker: workers is the service's
+  // parallelism, so any other engine thread count is refused.
+  ServeOptions threaded;
+  threaded.sorter.batch.threads = 3;
+  const Status t = threaded.validate();
+  ASSERT_FALSE(t.ok());
+  EXPECT_NE(t.message().find("sorter.batch.threads"), std::string::npos)
+      << t.message();
+  EXPECT_NE(t.message().find("workers"), std::string::npos) << t.message();
 
   // A window past kMaxServeDuration would overflow the batcher's
   // nanosecond conversion (microseconds::max() reads back as -1000 ns).

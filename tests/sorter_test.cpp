@@ -12,7 +12,9 @@
 
 #include "mcsn/core/valid.hpp"
 #include "mcsn/netlist/eval.hpp"
+#include "mcsn/nets/catalog.hpp"
 #include "mcsn/util/rng.hpp"
+#include "mcsn/util/thread_pool.hpp"
 
 namespace mcsn {
 namespace {
@@ -32,16 +34,13 @@ std::vector<std::uint64_t> sorted_values(const McSorter& sorter,
 }
 
 TEST(McSorter, PicksOptimalCatalogNetworks) {
-  McSorterOptions depth_opt;
-  depth_opt.prefer_depth = true;
-  McSorterOptions size_opt;
-  size_opt.prefer_depth = false;
-
   EXPECT_EQ(McSorter(4, 4).network().size(), 5u);
   EXPECT_EQ(McSorter(7, 4).network().size(), 16u);
   EXPECT_EQ(McSorter(9, 4).network().size(), 25u);
-  EXPECT_EQ(McSorter(10, 4, depth_opt).network().depth(), 7u);
-  EXPECT_EQ(McSorter(10, 4, size_opt).network().size(), 29u);
+  // n = 10 serves the depth-optimal network; the size-optimal one stays
+  // in the catalog.
+  EXPECT_EQ(McSorter(10, 4).network().depth(), 7u);
+  EXPECT_EQ(size_optimal_10().size(), 29u);
   // Non-catalog size: Batcher.
   EXPECT_TRUE(McSorter(6, 4).network().sorts_all_binary());
 }
@@ -222,6 +221,24 @@ TEST(McSorter, AoiOptionPropagates) {
   // Function unchanged.
   EXPECT_EQ(sorted_values(sorter, {9, 3, 14, 0}),
             (std::vector<std::uint64_t>{0, 3, 9, 14}));
+}
+
+// A default sorter runs its engine on the calling thread: neither
+// construction nor a multi-group sort_batch_flat starts a thread.
+TEST(McSorter, DefaultOptionsStartNoThreads) {
+  const std::uint64_t before = ThreadPool::threads_started();
+  const McSorter sorter(10, 16);
+  const std::size_t rounds = 1024;  // four 256-lane groups
+  Xoshiro256 rng(31);
+  std::vector<Trit> in;
+  in.reserve(rounds * sorter.shape().trits());
+  for (std::size_t i = 0; i < rounds * 10; ++i) {
+    const Word w = valid_from_rank(rng.below(valid_count(16)), 16);
+    in.insert(in.end(), w.begin(), w.end());
+  }
+  std::vector<Trit> out(in.size());
+  ASSERT_TRUE(sorter.sort_batch_flat(in, out).ok());
+  EXPECT_EQ(ThreadPool::threads_started(), before);
 }
 
 }  // namespace

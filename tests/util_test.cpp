@@ -195,7 +195,6 @@ TEST(Rng, ShufflePermutes) {
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.worker_count(), 3u);
-  EXPECT_EQ(pool.parallelism(), 4u);
   std::vector<std::atomic<int>> hits(101);
   pool.run_and_wait(101, [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -203,7 +202,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 
 TEST(ThreadPool, ZeroWorkersRunsInlineOnCaller) {
   ThreadPool pool(0);
-  EXPECT_EQ(pool.parallelism(), 1u);
+  EXPECT_EQ(pool.worker_count(), 0u);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ran(5);
   pool.run_and_wait(5, [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });

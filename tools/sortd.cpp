@@ -194,6 +194,8 @@ int run_stdin(SortService& service, std::size_t bits) {
       rc != 0) {
     return rc;
   }
+  // EOF: flush every shard now instead of waiting out the flush window.
+  service.stop();
   for (auto& f : futures) {
     const StatusOr<std::vector<std::uint64_t>> sorted = f.get().values();
     if (!sorted.ok()) {
@@ -251,6 +253,7 @@ int run_framed(SortService& service) {
     }
     drain(false);
   }
+  service.stop();  // flush the last partial groups at EOF
   drain(true);
   std::cout.flush();
   dump_stats(service);
@@ -367,6 +370,7 @@ int run_load(SortService& service, int channels, std::size_t bits,
       ++completed;
     }
   }
+  service.stop();  // flush the tail instead of waiting out its window
   for (auto& f : futures) {
     (void)f.get();
     ++completed;
